@@ -86,8 +86,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_obs_critical_path test_obs_flight_recorder \
              test_plan_cache test_planner test_snapshot \
              test_implicit_plan test_exec_mailbox test_exec_kernels test_exec_engine \
-             test_communicator_exec test_exec_property test_fault \
-             test_svc_sched test_svc test_svc_fusion test_svc_introspect \
+             test_communicator_exec test_exec_property test_exec_compile \
+             test_fault test_svc_sched test_svc test_svc_fusion test_svc_introspect \
              test_prometheus_lint \
              test_hier test_hierarchical test_hier_plan test_measure \
              test_tuner
@@ -105,6 +105,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_exec_engine
   ./build-asan/tests/test_communicator_exec
   ./build-asan/tests/test_exec_property
+  ./build-asan/tests/test_exec_compile
   ./build-asan/tests/test_svc_sched
   ./build-asan/tests/test_svc
   ./build-asan/tests/test_svc_fusion

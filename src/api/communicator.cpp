@@ -151,51 +151,18 @@ exec::Engine& engine_or_shared(exec::Engine* engine) {
 exec::Program Communicator::compile(runtime::Problem problem, std::int64_t k,
                                     ProcId root) const {
   const obs::Span span("comm.compile", "comm");
-  switch (problem) {
-    case runtime::Problem::kBroadcast: {
-      // Implicit-capable plans lower straight from the generators; the
-      // streams are identical to compiling the materialized schedule.
-      const PlanPtr plan = planner_->plan(PlanKey::broadcast(params_, root));
-      if (plan->implicit) {
-        return exec::compile_implicit(*plan->implicit, "bcast");
-      }
-      return exec::compile_broadcast(plan->schedule, "bcast");
-    }
-    case runtime::Problem::kKItemBroadcast: {
-      // Segmented broadcast: the Section 3 single-sending k-item schedule,
-      // one segment per item.  The cache key normalizes root to 0 (the
-      // schedule shape is root-invariant), so a non-zero root is served by
-      // swapping ranks 0 and root in the compiled program rather than
-      // splitting the plan cache per root.
-      if (root < 0 || root >= params_.P) {
-        throw std::invalid_argument("Communicator::compile: bad root");
-      }
-      exec::Program program = exec::compile_broadcast(
-          planner_->plan(PlanKey::segmented_broadcast(params_, k))->schedule,
-          "bcast-seg");
-      if (root != 0) {
-        program = exec::relabel_swapped(std::move(program), 0, root);
-      }
-      return program;
-    }
-    case runtime::Problem::kReduce: {
-      const PlanPtr plan = planner_->plan(PlanKey::reduce(params_, root));
-      if (plan->implicit) {
-        return exec::compile_implicit(*plan->implicit, "reduce");
-      }
-      return exec::compile_reduction(reduce(root));
-    }
-    case runtime::Problem::kAllToAll:
-      return exec::compile_broadcast(
-          planner_->plan(PlanKey::alltoall(params_, static_cast<int>(k)))
-              ->schedule,
-          k == 1 ? "allgather" : "alltoall");
-    case runtime::Problem::kSummation:
-      return exec::compile_summation(reduce_operands(k));
-    default:
-      throw std::invalid_argument(
-          "Communicator::compile: problem has no execution semantics");
+  return lower(PlanKey::make(problem, params_, k, root), root);
+}
+
+exec::Program Communicator::lower(const PlanKey& key, ProcId root) const {
+  exec::Program program = exec::compile(*planner_->plan(key));
+  // k-item keys normalize root to 0 (the schedule shape is root-invariant):
+  // another root is served by swapping ranks 0 and root in the program
+  // rather than splitting the plan cache per root.
+  if (key.problem == runtime::Problem::kKItemBroadcast && root != 0) {
+    program = exec::relabel_swapped(std::move(program), 0, root);
   }
+  return program;
 }
 
 exec::ExecReport Communicator::run_broadcast(std::span<const std::byte> payload,
@@ -219,34 +186,16 @@ exec::ExecReport Communicator::run_broadcast_tuned(
     // A zero-byte payload cannot be sliced; the bulk tree is equivalent.
     key = runtime::PlanKey::broadcast(params_, root);
   }
+  const exec::Program program = lower(key, root);
   if (key.problem == runtime::Problem::kKItemBroadcast) {
     // Segmented winner: the k-item pipeline over payload/k slices, results
-    // coalesced in place (Engine::run_segmented).  Same root convention as
-    // compile(): the cached plan is root-0, relabeled on the way out.
-    exec::Program program =
-        exec::compile_broadcast(planner_->plan(key)->schedule, "bcast-seg");
-    if (root != 0) {
-      program = exec::relabel_swapped(std::move(program), 0, root);
-    }
+    // coalesced in place (Engine::run_segmented).
     return engine_or_shared(engine).run_segmented(
         program, exec::SegmentRun{payload, static_cast<int>(key.k)});
   }
-  const runtime::PlanPtr plan = planner_->plan(key);
-  const exec::Program program =
-      plan->implicit ? exec::compile_implicit(*plan->implicit, "bcast")
-                     : exec::compile_broadcast(plan->schedule, "bcast");
   const std::vector<exec::Bytes> items{
       exec::Bytes(payload.begin(), payload.end())};
   return engine_or_shared(engine).run(program, items);
-}
-
-exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
-                                          const exec::CombineFn& op,
-                                          ProcId root,
-                                          exec::Engine* engine) const {
-  const obs::Span span("comm.run_reduce", "comm");
-  const exec::Program program = compile(runtime::Problem::kReduce, 1, root);
-  return engine_or_shared(engine).run(program, values, op);
 }
 
 exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
@@ -292,11 +241,9 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
                                             params_, 1, root, mask));
     res.survivors = res.plan->key.live_ranks();
     // A masked plan's `implicit` (like its schedule) describes the compact
-    // survivor machine, so either lowering yields the same program.
-    const exec::Program program =
-        res.plan->implicit
-            ? exec::compile_implicit(*res.plan->implicit, "bcast-ft")
-            : exec::compile_broadcast(res.plan->schedule, "bcast-ft");
+    // survivor machine, so the lowering is the survivors' program.
+    exec::Program program = exec::compile(*res.plan);
+    program.label = "bcast-ft";
     std::optional<fault::Injector> injector;
     if (inject) injector.emplace(spec);
     try {
@@ -369,17 +316,9 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
 
 exec::ExecReport Communicator::run_reduce_operands(
     Count n, const std::vector<std::vector<exec::Bytes>>& operands,
-    const exec::CombineFn& op, exec::Engine* engine) const {
-  const obs::Span span("comm.run_reduce_operands", "comm");
-  const exec::Program program = exec::compile_summation(reduce_operands(n));
-  return engine_or_shared(engine).run(program, operands, op);
-}
-
-exec::ExecReport Communicator::run_reduce_operands(
-    Count n, const std::vector<std::vector<exec::Bytes>>& operands,
     const exec::Combiner& op, exec::Engine* engine) const {
   const obs::Span span("comm.run_reduce_operands", "comm");
-  const exec::Program program = exec::compile_summation(reduce_operands(n));
+  const exec::Program program = compile(runtime::Problem::kSummation, n);
   return engine_or_shared(engine).run(program, operands, op);
 }
 

@@ -100,13 +100,16 @@ class Communicator {
                                       std::int64_t k = 1,
                                       ProcId root = 0) const;
 
-  /// The executable lowering of the cached plan for an *executable*
-  /// problem — kBroadcast, kKItemBroadcast (k = segment count; the root-0
-  /// plan is relabeled for other roots, so all roots share one cache
-  /// entry), kReduce, kAllToAll (k = 1 is the allgather the run path uses)
-  /// or kSummation (k = operand count n).  This is the
-  /// exact program the corresponding run_* method would execute; a serving
-  /// layer (svc::CollectiveService) caches the returned Program per
+  /// The executable lowering of the cached plan for
+  /// PlanKey::make(problem, params(), k, root), via exec::compile — which
+  /// fixes the value semantics and label from the problem.  Executable
+  /// problems are kBroadcast and the binomial/binary/chain trees,
+  /// kKItemBroadcast (k = segment count; the root-0 plan is relabeled for
+  /// other roots, so all roots share one cache entry), kReduce, kAllToAll
+  /// (k = 1 is the allgather the run path uses) and kSummation (k =
+  /// operand count n).  This is the exact program the
+  /// corresponding run_* method would execute; a serving layer
+  /// (svc::CollectiveService) caches the returned Program per
   /// (problem, k, root) and hands it straight to its pool engines, paying
   /// plan lookup + compilation once instead of per request.  Throws
   /// std::invalid_argument for problems with no execution semantics.
@@ -186,13 +189,11 @@ class Communicator {
 
   /// Message reduction of one value per processor (values[p] is p's
   /// contribution), folded with `op` in the plan's arrival order;
-  /// report.folded_at(root) is the result.  `op` must be associative.
-  [[nodiscard]] exec::ExecReport run_reduce(
-      const std::vector<exec::Bytes>& values, const exec::CombineFn& op,
-      ProcId root = 0, exec::Engine* engine = nullptr) const;
-  /// As above with a typed combiner: folds whose operand sizes match take
-  /// the fused SIMD kernel for op.spec() (exec::ExecReport::kernel_folds
-  /// counts them); mismatched sizes fall back to the scalar lane.
+  /// report.folded_at(root) is the result.  `op` must be associative.  A
+  /// plain exec::CombineFn converts to the generic Combiner; a typed
+  /// combiner's size-matched folds take the fused SIMD kernel for
+  /// op.spec() (exec::ExecReport::kernel_folds counts them), mismatched
+  /// sizes fall back to the scalar lane.
   [[nodiscard]] exec::ExecReport run_reduce(
       const std::vector<exec::Bytes>& values, const exec::Combiner& op,
       ProcId root = 0, exec::Engine* engine = nullptr) const;
@@ -222,12 +223,8 @@ class Communicator {
   /// and folds `operands` — laid out per sum::operand_layout of that plan
   /// (operands[i] belongs to plan.procs[i]; counts must match or the engine
   /// throws).  report.folded_at(plan root) equals the sequential left-fold
-  /// of the operands in sum::combination_order.
-  [[nodiscard]] exec::ExecReport run_reduce_operands(
-      Count n, const std::vector<std::vector<exec::Bytes>>& operands,
-      const exec::CombineFn& op, exec::Engine* engine = nullptr) const;
-  /// Typed-combiner variant: size-matched folds run on the SIMD kernel,
-  /// still in the plan's (possibly non-commutative) combination order.
+  /// of the operands in sum::combination_order; a typed combiner's
+  /// size-matched folds run on the SIMD kernel in that same order.
   [[nodiscard]] exec::ExecReport run_reduce_operands(
       Count n, const std::vector<std::vector<exec::Bytes>>& operands,
       const exec::Combiner& op, exec::Engine* engine = nullptr) const;
@@ -238,6 +235,10 @@ class Communicator {
   /// Postal projection for the Section 3/4.2 algorithms: g normalized to 1
   /// cycle-groups, overheads folded into the latency (L' = L + 2o).
   [[nodiscard]] Params postal_projection() const;
+  /// Plans `key` and lowers it with exec::compile; a root-normalized k-item
+  /// program is relabeled to serve `root`.
+  [[nodiscard]] exec::Program lower(const runtime::PlanKey& key,
+                                    ProcId root) const;
 };
 
 }  // namespace logpc::api

@@ -108,11 +108,6 @@ ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
   return run_impl(program, nullptr, nullptr, &values, nullptr, &op, injector);
 }
 
-ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
-                       const CombineFn& op, const fault::Injector* injector) {
-  return run(program, values, Combiner(op), injector);
-}
-
 ExecReport Engine::run(const Program& program,
                        const std::vector<std::vector<Bytes>>& operands,
                        const Combiner& op, const fault::Injector* injector) {
@@ -124,12 +119,6 @@ ExecReport Engine::run(const Program& program,
   }
   return run_impl(program, nullptr, nullptr, nullptr, &operands, &op,
                   injector);
-}
-
-ExecReport Engine::run(const Program& program,
-                       const std::vector<std::vector<Bytes>>& operands,
-                       const CombineFn& op, const fault::Injector* injector) {
-  return run(program, operands, Combiner(op), injector);
 }
 
 ExecReport Engine::run_impl(const Program& program,

@@ -217,12 +217,10 @@ class Engine {
   /// kFold: `values[p]` is processor p's initial value; receives fold with
   /// `op` in arrival order.  The root's accumulator is the result.  A
   /// typed Combiner (constructed from a KernelSpec) takes the fused SIMD
-  /// lane on every size-matched fold; the CombineFn overloads are the
+  /// lane on every size-matched fold; a plain CombineFn converts to the
   /// fully generic path.
   ExecReport run(const Program& program, const std::vector<Bytes>& values,
                  const Combiner& op, const fault::Injector* injector = nullptr);
-  ExecReport run(const Program& program, const std::vector<Bytes>& values,
-                 const CombineFn& op, const fault::Injector* injector = nullptr);
 
   /// kSum: `operands[i]` are the local operands of plan.procs[i] (counts
   /// must match sum::operand_layout; throws otherwise), folded with `op` in
@@ -230,9 +228,6 @@ class Engine {
   ExecReport run(const Program& program,
                  const std::vector<std::vector<Bytes>>& operands,
                  const Combiner& op, const fault::Injector* injector = nullptr);
-  ExecReport run(const Program& program,
-                 const std::vector<std::vector<Bytes>>& operands,
-                 const CombineFn& op, const fault::Injector* injector = nullptr);
 
   /// The process-wide engine api::Communicator's run_* entry points use by
   /// default.

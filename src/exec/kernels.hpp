@@ -5,6 +5,8 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 /// \file kernels.hpp
@@ -94,7 +96,13 @@ using KernelFn = void (*)(std::byte* acc, const std::byte* rhs,
 class Combiner {
  public:
   Combiner() = default;
-  /*implicit*/ Combiner(CombineFn fn) : generic_(std::move(fn)) {}
+  /// Any callable a CombineFn accepts — a CombineFn, a bare lambda — is
+  /// the generic lane; one implicit conversion, so call sites may pass
+  /// either where a Combiner is expected.
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Combiner> &&
+             std::is_constructible_v<CombineFn, F>)
+  /*implicit*/ Combiner(F&& fn) : generic_(std::forward<F>(fn)) {}
   explicit Combiner(const KernelSpec& spec)
       : generic_(generic_combine(spec)),
         kernel_(lookup(spec)),

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "runtime/implicit_plan.hpp"
+#include "runtime/plan_cache.hpp"
 #include "sum/executor.hpp"
 
 namespace logpc::exec {
@@ -79,17 +80,29 @@ Program::expected_deliveries() const {
   return out;
 }
 
-Program compile_broadcast(const Schedule& s, std::string label) {
+namespace {
+
+/// The stream builder shared by compile_broadcast (kMove) and
+/// compile_reduction (kFold): per processor, the schedule's events in
+/// Keyed order, then the mode's safety check — a send must follow the
+/// reception (or initial placement) of its item (kMove), and no receive
+/// may follow the single send (kFold).  Stream order is exactly what
+/// executes, so either violation would be a hang, which the compiler
+/// refuses to produce.
+Program compile_schedule(const Schedule& s, Mode mode, std::string label,
+                         Time predicted_makespan) {
   s.params().require_valid();
   const auto P = static_cast<std::size_t>(s.params().P);
   Program prog;
   prog.params = s.params();
-  prog.mode = Mode::kMove;
+  prog.mode = mode;
   prog.label = std::move(label);
-  prog.num_items = s.num_items();
-  prog.predicted_makespan = s.makespan();
+  prog.predicted_makespan = predicted_makespan;
   prog.num_messages = s.sends().size();
-  prog.initials = s.initials();
+  if (mode == Mode::kMove) {
+    prog.num_items = s.num_items();
+    prog.initials = s.initials();
+  }
   prog.procs.resize(P);
   for (std::size_t p = 0; p < P; ++p) {
     prog.procs[p].proc = static_cast<ProcId>(p);
@@ -109,40 +122,59 @@ Program compile_broadcast(const Schedule& s, std::string label) {
               Instr{OpCode::kRecv, op.from, op.item, 0, link,
                     s.available_at(op)}});
   }
-
-  // Availability check in stream order: refuse to compile a plan that would
-  // block forever on an item its sender never obtains.
-  std::vector<std::vector<char>> have(
-      P, std::vector<char>(static_cast<std::size_t>(prog.num_items), 0));
-  for (const auto& init : s.initials()) {
-    have[static_cast<std::size_t>(init.proc)]
-        [static_cast<std::size_t>(init.item)] = 1;
-  }
   for (std::size_t p = 0; p < P; ++p) {
     std::sort(streams[p].begin(), streams[p].end());
     prog.procs[p].instrs.reserve(streams[p].size());
     for (const Keyed& k : streams[p]) prog.procs[p].instrs.push_back(k.instr);
   }
-  // Sends must follow the reception (or initial placement) of their item in
-  // the same stream — stream order is exactly what executes.
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const Instr& ins : prog.procs[p].instrs) {
-      char& slot = have[p][static_cast<std::size_t>(ins.item)];
-      if (ins.op == OpCode::kSend) {
-        if (slot == 0) {
+
+  if (mode == Mode::kMove) {
+    std::vector<std::vector<char>> have(
+        P, std::vector<char>(static_cast<std::size_t>(prog.num_items), 0));
+    for (const auto& init : s.initials()) {
+      have[static_cast<std::size_t>(init.proc)]
+          [static_cast<std::size_t>(init.item)] = 1;
+    }
+    for (std::size_t p = 0; p < P; ++p) {
+      for (const Instr& ins : prog.procs[p].instrs) {
+        char& slot = have[p][static_cast<std::size_t>(ins.item)];
+        if (ins.op == OpCode::kRecv) {
+          slot = 1;
+        } else if (slot == 0) {
           throw std::invalid_argument(
               "exec::compile_broadcast: P" + std::to_string(p) +
               " sends item " + std::to_string(ins.item) +
               " before holding it");
         }
-      } else if (ins.op == OpCode::kRecv) {
-        slot = 1;
+      }
+    }
+  } else {
+    for (std::size_t p = 0; p < P; ++p) {
+      bool sent = false;
+      for (const Instr& ins : prog.procs[p].instrs) {
+        if (ins.op == OpCode::kRecv && sent) {
+          throw std::invalid_argument(
+              "exec::compile_reduction: P" + std::to_string(p) +
+              " receives after its send — not a reduction plan");
+        }
+        sent = sent || ins.op == OpCode::kSend;
       }
     }
   }
   prog.links = links.take();
   annotate_recv_chains(prog);
   return prog;
+}
+
+}  // namespace
+
+Program compile_broadcast(const Schedule& s, std::string label) {
+  return compile_schedule(s, Mode::kMove, std::move(label), s.makespan());
+}
+
+Program compile_reduction(const bcast::ReductionPlan& plan) {
+  return compile_schedule(plan.schedule, Mode::kFold, "reduce",
+                          plan.completion);
 }
 
 Program relabel_swapped(Program program, ProcId a, ProcId b) {
@@ -168,54 +200,6 @@ Program relabel_swapped(Program program, ProcId a, ProcId b) {
     init.proc = map(init.proc);
   }
   return program;
-}
-
-Program compile_reduction(const bcast::ReductionPlan& plan) {
-  const Schedule& s = plan.schedule;
-  s.params().require_valid();
-  const auto P = static_cast<std::size_t>(s.params().P);
-  Program prog;
-  prog.params = s.params();
-  prog.mode = Mode::kFold;
-  prog.label = "reduce";
-  prog.num_items = 1;
-  prog.predicted_makespan = plan.completion;
-  prog.num_messages = s.sends().size();
-  prog.procs.resize(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-  }
-
-  LinkTable links;
-  std::vector<std::vector<Keyed>> streams(P);
-  const auto& sends = s.sends();
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    const SendOp& op = sends[i];
-    const std::int32_t link = links.intern(op.from, op.to);
-    streams[static_cast<std::size_t>(op.from)].push_back(
-        Keyed{op.start, 1, i,
-              Instr{OpCode::kSend, op.to, op.item, 0, link, op.start}});
-    streams[static_cast<std::size_t>(op.to)].push_back(
-        Keyed{s.available_at(op), 0, i,
-              Instr{OpCode::kRecv, op.from, op.item, 0, link,
-                    s.available_at(op)}});
-  }
-  for (std::size_t p = 0; p < P; ++p) {
-    std::sort(streams[p].begin(), streams[p].end());
-    bool sent = false;
-    for (const Keyed& k : streams[p]) {
-      if (k.instr.op == OpCode::kRecv && sent) {
-        throw std::invalid_argument(
-            "exec::compile_reduction: P" + std::to_string(p) +
-            " receives after its send — not a reduction plan");
-      }
-      sent = sent || k.instr.op == OpCode::kSend;
-      prog.procs[p].instrs.push_back(k.instr);
-    }
-  }
-  prog.links = links.take();
-  annotate_recv_chains(prog);
-  return prog;
 }
 
 Program compile_implicit(const runtime::ImplicitPlan& plan,
@@ -313,6 +297,49 @@ Program compile_summation(const sum::SummationPlan& plan) {
   prog.links = links.take();
   annotate_recv_chains(prog);
   return prog;
+}
+
+Program compile(const runtime::Plan& plan) {
+  using runtime::Problem;
+  const runtime::PlanKey& key = plan.key;
+  Mode mode = Mode::kMove;
+  std::string label;
+  switch (key.problem) {
+    case Problem::kBroadcast:
+    case Problem::kBinomialBroadcast:
+    case Problem::kBinaryBroadcast:
+    case Problem::kChainBroadcast:
+      label = "bcast";
+      break;
+    case Problem::kKItemBroadcast:
+      label = "bcast-seg";
+      break;
+    case Problem::kHierarchicalBroadcast:
+      label = "bcast-hier";
+      break;
+    case Problem::kReduce:
+      mode = Mode::kFold;
+      label = "reduce";
+      break;
+    case Problem::kAllToAll:
+      label = key.k == 1 ? "allgather" : "alltoall";
+      break;
+    case Problem::kSummation:
+      // The cached schedule is only the summation's timing view; the
+      // operand layout comes from the plan it was built from.
+      if (key.mask != 0) {
+        throw std::invalid_argument(
+            "exec::compile: masked summation plans have no lowering");
+      }
+      return compile_summation(
+          sum::optimal_summation(key.params, plan.completion));
+    default:
+      throw std::invalid_argument("exec::compile: " + key.to_string() +
+                                  " has no execution semantics");
+  }
+  if (plan.implicit) return compile_implicit(*plan.implicit, std::move(label));
+  return compile_schedule(plan.schedule, mode, std::move(label),
+                          plan.completion);
 }
 
 }  // namespace logpc::exec

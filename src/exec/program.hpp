@@ -38,6 +38,7 @@
 
 namespace logpc::runtime {
 class ImplicitPlan;
+struct Plan;
 }  // namespace logpc::runtime
 
 namespace logpc::exec {
@@ -99,6 +100,33 @@ struct Program {
   [[nodiscard]] std::vector<std::vector<validate::DeliveryRecord>>
   expected_deliveries() const;
 };
+
+/// Lowers a cached plan: the one Plan -> Program entry point every serving
+/// path goes through.  The plan's problem alone picks the value semantics
+/// and the telemetry label:
+///
+///   broadcast, binomial, binary, chain  kMove  "bcast"
+///   k-item                              kMove  "bcast-seg"
+///   hierarchical                        kMove  "bcast-hier"
+///   reduce                              kFold  "reduce"
+///   all-to-all                          kMove  "allgather" (k = 1),
+///                                              "alltoall" otherwise
+///   summation                           kSum   "summation"
+///
+/// The implicit generator form is lowered when the plan carries one
+/// (compile_implicit), the materialized schedule otherwise; summation is
+/// rebuilt from the key's machine and the plan's completion time
+/// (compile_summation), since the cached schedule is only its timing view.
+/// predicted_makespan is plan.completion.  A k-item plan is root-
+/// normalized (root 0); serving another root is relabel_swapped's job.
+/// Throws std::invalid_argument for problems with no execution semantics
+/// (scatter, gather, the buffered, personalized, combining and flat
+/// schedules, the k-item baselines) and for masked summation keys.
+[[nodiscard]] Program compile(const runtime::Plan& plan);
+
+// --- per-IR lowerings --------------------------------------------------
+// What compile() dispatches to; public as the reference lowerings the
+// equivalence tests compare against.
 
 /// Lowers a move-semantics schedule (broadcast, k-item, scatter, gather,
 /// all-to-all, personalized).  Throws std::invalid_argument if a processor

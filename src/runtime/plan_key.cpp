@@ -1,5 +1,6 @@
 #include "runtime/plan_key.hpp"
 
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -88,6 +89,12 @@ PlanKey PlanKey::make(Problem problem, const Params& params, std::int64_t k,
                       Time cross_L, Time cross_o, Time cross_g) {
   params.require_valid();
   if (k < 1) throw std::invalid_argument("PlanKey: k must be >= 1");
+  // Item counts feed int-typed builders; only summation's operand count n
+  // is a 64-bit Count.
+  if (uses_k(problem) && problem != Problem::kSummation &&
+      k > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("PlanKey: item count k must be <= INT32_MAX");
+  }
   if (root < 0 || root >= params.P) {
     throw std::invalid_argument("PlanKey: root out of range");
   }

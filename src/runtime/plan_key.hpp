@@ -116,7 +116,9 @@ struct PlanKey {
   /// Builds the canonical key for a request stated on the *physical*
   /// machine `params` (normalization applied here).  Throws
   /// std::invalid_argument for an invalid machine, a root out of range,
-  /// k < 1, an ill-formed membership mask, or an ill-formed topology.
+  /// k < 1, an item count k > INT32_MAX (every k-using problem except
+  /// summation, whose operand count is 64-bit), an ill-formed membership
+  /// mask, or an ill-formed topology.
   /// Idempotent: make(key.problem, key.params, key.k, key.root, key.mask,
   /// key.clusters, key.cross_L, key.cross_o, key.cross_g) returns the key
   /// unchanged.

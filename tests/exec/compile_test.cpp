@@ -1,0 +1,293 @@
+#include "exec/program.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "api/communicator.hpp"
+#include "exec_test_util.hpp"
+#include "runtime/planner.hpp"
+#include "sum/summation_tree.hpp"
+#include "tune/decision_table.hpp"
+
+/// exec::compile, the one Plan -> Program lowering: for every executable
+/// problem it must stamp the plan's completion and the problem's label,
+/// and produce the streams of the per-IR reference lowering — whichever
+/// representation (implicit generator or materialized schedule) the
+/// planner cached.  api::Communicator::compile must be exactly this
+/// lowering plus the k-item root relabel.
+
+namespace logpc::exec {
+namespace {
+
+using runtime::Plan;
+using runtime::PlanKey;
+using runtime::Planner;
+using runtime::Problem;
+
+/// One executable problem and what exec::compile must make of it.
+struct Lowering {
+  Problem problem;
+  std::int64_t k;
+  const char* label;
+  Mode mode;
+};
+
+/// Names the case in test listings (the default byte dump would include
+/// the struct's padding).
+void PrintTo(const Lowering& c, std::ostream* os) {
+  *os << runtime::problem_name(c.problem) << " k=" << c.k;
+}
+
+/// problem_name as a test-name identifier ("binomial_broadcast").
+std::string identifier(Problem problem) {
+  std::string name(runtime::problem_name(problem));
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
+const Params kMachines[] = {
+    {4, 4, 1, 2}, {7, 3, 0, 1}, {8, 3, 1, 2}, {12, 5, 1, 3}};
+
+/// Hierarchical keys: two clusters joined by a slower cross class.
+constexpr std::int32_t kClusters = 2;
+constexpr Time kCrossL = 8, kCrossO = 2, kCrossG = 3;
+
+PlanKey key_for(const Lowering& c, const Params& m, ProcId root) {
+  if (c.problem == Problem::kHierarchicalBroadcast) {
+    return PlanKey::make(c.problem, m, 1, root, 0, kClusters, kCrossL,
+                         kCrossO, kCrossG);
+  }
+  return PlanKey::make(c.problem, m, c.k, root);
+}
+
+/// A default planner (both representations for implicit-capable keys) and
+/// an implicit-only one (materialize_threshold = 1).
+std::vector<std::shared_ptr<Planner>> planners() {
+  Planner::Options implicit_only;
+  implicit_only.materialize_threshold = 1;
+  return {std::make_shared<Planner>(),
+          std::make_shared<Planner>(implicit_only)};
+}
+
+/// Field-by-field equality.  With `same_link_ids` false, instructions
+/// compare by link endpoints instead of index: compile_implicit interns
+/// links rank-major, the schedule lowerings in send order.
+void expect_same_program(const Program& a, const Program& b,
+                         bool same_link_ids = true) {
+  EXPECT_EQ(a.params, b.params);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.num_items, b.num_items);
+  EXPECT_EQ(a.predicted_makespan, b.predicted_makespan);
+  EXPECT_EQ(a.num_messages, b.num_messages);
+  EXPECT_EQ(a.initials, b.initials);
+  ASSERT_EQ(a.links.size(), b.links.size());
+  ASSERT_EQ(a.procs.size(), b.procs.size());
+  for (std::size_t p = 0; p < a.procs.size(); ++p) {
+    const ProcProgram& pa = a.procs[p];
+    const ProcProgram& pb = b.procs[p];
+    EXPECT_EQ(pa.proc, pb.proc);
+    EXPECT_EQ(pa.sum_index, pb.sum_index);
+    EXPECT_EQ(pa.num_operands, pb.num_operands);
+    ASSERT_EQ(pa.instrs.size(), pb.instrs.size()) << "proc " << p;
+    for (std::size_t i = 0; i < pa.instrs.size(); ++i) {
+      const Instr& x = pa.instrs[i];
+      const Instr& y = pb.instrs[i];
+      SCOPED_TRACE("proc " + std::to_string(p) + " instr " +
+                   std::to_string(i));
+      EXPECT_EQ(x.op, y.op);
+      EXPECT_EQ(x.peer, y.peer);
+      EXPECT_EQ(x.item, y.item);
+      EXPECT_EQ(x.count, y.count);
+      EXPECT_EQ(x.when, y.when);
+      EXPECT_EQ(x.chain, y.chain);
+      if (x.link < 0 || y.link < 0 || same_link_ids) {
+        EXPECT_EQ(x.link, y.link);
+        continue;
+      }
+      const Link& la = a.links[static_cast<std::size_t>(x.link)];
+      const Link& lb = b.links[static_cast<std::size_t>(y.link)];
+      EXPECT_EQ(la.from, lb.from);
+      EXPECT_EQ(la.to, lb.to);
+    }
+  }
+  if (same_link_ids) {
+    for (std::size_t l = 0; l < a.links.size(); ++l) {
+      EXPECT_EQ(a.links[l].from, b.links[l].from);
+      EXPECT_EQ(a.links[l].to, b.links[l].to);
+    }
+  }
+}
+
+/// The per-IR lowering of `key`'s freshly materialized plan — the path
+/// each caller spelled out before exec::compile existed.
+Program reference(const Lowering& c, const Params& m, const PlanKey& key) {
+  if (c.problem == Problem::kSummation) {
+    return compile_summation(
+        sum::optimal_summation(m, sum::min_time_for_operands(m, c.k)));
+  }
+  const Plan full = Planner::build_uncached(key);
+  if (c.problem == Problem::kReduce) {
+    bcast::ReductionPlan rp;
+    rp.params = m;
+    rp.root = key.root;
+    rp.schedule = full.schedule;
+    rp.completion = full.completion;
+    return compile_reduction(rp);
+  }
+  return compile_broadcast(full.schedule, c.label);
+}
+
+class ExecCompile : public ::testing::TestWithParam<Lowering> {};
+
+TEST_P(ExecCompile, LowersEveryPlanLikeItsPerIrReference) {
+  const Lowering& c = GetParam();
+  for (const auto& planner : planners()) {
+    for (const Params& m : kMachines) {
+      for (const ProcId root : {ProcId{0}, static_cast<ProcId>(m.P - 1)}) {
+        const PlanKey key = key_for(c, m, root);
+        SCOPED_TRACE(key.to_string());
+        const runtime::PlanPtr plan = planner->plan(key);
+        const Program program = compile(*plan);
+        EXPECT_EQ(program.predicted_makespan, plan->completion);
+        EXPECT_EQ(program.label, c.label);
+        EXPECT_EQ(program.mode, c.mode);
+        expect_same_program(program, reference(c, m, key),
+                            /*same_link_ids=*/plan->implicit == nullptr);
+      }
+    }
+  }
+}
+
+TEST_P(ExecCompile, CommunicatorCompileIsThePlanLowering) {
+  const Lowering& c = GetParam();
+  if (c.problem == Problem::kHierarchicalBroadcast) {
+    // Communicator::compile takes no topology; the hierarchical lowering
+    // is reached through the tuned path (TunedHierarchicalRun below).
+    EXPECT_THROW((void)api::Communicator(kMachines[0]).compile(c.problem),
+                 std::invalid_argument);
+    return;
+  }
+  for (const auto& planner : planners()) {
+    for (const Params& m : kMachines) {
+      const api::Communicator comm(m, planner);
+      for (const ProcId root : {ProcId{0}, static_cast<ProcId>(m.P - 1)}) {
+        SCOPED_TRACE("P=" + std::to_string(m.P) +
+                     " root=" + std::to_string(root));
+        const Program via_comm = comm.compile(c.problem, c.k, root);
+        const Program lowered =
+            compile(*planner->plan(PlanKey::make(c.problem, m, c.k, root)));
+        if (c.problem == Problem::kKItemBroadcast) {
+          // The k-item key pins root 0; other roots relabel that program.
+          expect_same_program(
+              via_comm,
+              relabel_swapped(comm.compile(c.problem, c.k, 0), 0, root));
+          expect_same_program(via_comm, relabel_swapped(lowered, 0, root));
+        } else {
+          expect_same_program(via_comm, lowered);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executable, ExecCompile,
+    ::testing::Values(
+        Lowering{Problem::kBroadcast, 1, "bcast", Mode::kMove},
+        Lowering{Problem::kBinomialBroadcast, 1, "bcast", Mode::kMove},
+        Lowering{Problem::kBinaryBroadcast, 1, "bcast", Mode::kMove},
+        Lowering{Problem::kChainBroadcast, 1, "bcast", Mode::kMove},
+        Lowering{Problem::kKItemBroadcast, 3, "bcast-seg", Mode::kMove},
+        Lowering{Problem::kHierarchicalBroadcast, 1, "bcast-hier",
+                 Mode::kMove},
+        Lowering{Problem::kReduce, 1, "reduce", Mode::kFold},
+        Lowering{Problem::kAllToAll, 1, "allgather", Mode::kMove},
+        Lowering{Problem::kAllToAll, 2, "alltoall", Mode::kMove},
+        Lowering{Problem::kSummation, 40, "summation", Mode::kSum}),
+    [](const ::testing::TestParamInfo<Lowering>& case_info) {
+      return identifier(case_info.param.problem) + "_k" +
+             std::to_string(case_info.param.k);
+    });
+
+class ExecCompileRejects : public ::testing::TestWithParam<Problem> {};
+
+TEST_P(ExecCompileRejects, ProblemsWithoutExecutionSemanticsThrow) {
+  const Problem problem = GetParam();
+  for (const auto& planner : planners()) {
+    for (const Params& m : {kMachines[0], kMachines[2]}) {
+      const runtime::PlanPtr plan =
+          planner->plan(PlanKey::make(problem, m, 2));
+      EXPECT_THROW((void)compile(*plan), std::invalid_argument)
+          << plan->key.to_string();
+      const api::Communicator comm(m, planner);
+      EXPECT_THROW((void)comm.compile(problem, 2), std::invalid_argument)
+          << plan->key.to_string();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NoExecutionSemantics, ExecCompileRejects,
+    ::testing::Values(Problem::kBufferedKItemBroadcast, Problem::kScatter,
+                      Problem::kGather, Problem::kAllToAllPersonalized,
+                      Problem::kAllReduce, Problem::kFlatBroadcast,
+                      Problem::kSerializedKItem,
+                      Problem::kPipelinedBinaryKItem,
+                      Problem::kPipelinedChainKItem),
+    [](const ::testing::TestParamInfo<Problem>& case_info) {
+      return identifier(case_info.param);
+    });
+
+TEST(ExecCompileRejectsKeys, MaskedSummationThrows) {
+  Planner planner;
+  const Params m{8, 3, 1, 2};
+  const runtime::PlanPtr plan =
+      planner.plan(PlanKey::make(Problem::kSummation, m, 20, 0, 0x7full));
+  EXPECT_THROW((void)compile(*plan), std::invalid_argument);
+}
+
+TEST(ExecCompileRejectsKeys, WideItemCountNeverReachesALowering) {
+  // Before PlanKey::make bounded k, this key was cached holding the k = 1
+  // all-to-all plan and lowered to an 8-item "alltoall" program.
+  const api::Communicator comm(Params{8, 4, 1, 2},
+                               std::make_shared<Planner>());
+  const std::int64_t wide = (std::int64_t{1} << 32) + 1;
+  EXPECT_THROW((void)comm.plan(Problem::kAllToAll, wide),
+               std::invalid_argument);
+  EXPECT_THROW((void)comm.compile(Problem::kAllToAll, wide),
+               std::invalid_argument);
+}
+
+TEST(TunedHierarchicalRun, ReportsTheHierarchicalLabel) {
+  auto planner = std::make_shared<Planner>();
+  auto table = std::make_shared<tune::DecisionTable>();
+  tune::Decision d;
+  d.problem = Problem::kHierarchicalBroadcast;
+  d.clusters = kClusters;
+  d.cross_L = kCrossL;
+  d.cross_o = kCrossO;
+  d.cross_g = kCrossG;
+  d.win_ns = 100;
+  table->set({tune::Collective::kBroadcast, 8, 10}, d);
+  planner->set_decision_table(table);
+  const api::Communicator comm(Params{8, 4, 1, 2}, planner);
+  const Bytes payload = testutil::of_str("two-level payload");
+  for (const ProcId root : {ProcId{0}, ProcId{5}}) {
+    const ExecReport report = comm.run_broadcast_tuned(payload, root);
+    EXPECT_EQ(report.label, "bcast-hier");
+    for (ProcId p = 0; p < comm.size(); ++p) {
+      EXPECT_EQ(report.item_at(p, 0), payload) << "rank " << p;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace logpc::exec

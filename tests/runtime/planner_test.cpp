@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -44,6 +45,34 @@ TEST(PlanKey, RejectsBadArguments) {
   EXPECT_THROW(PlanKey::broadcast(Params{0, 1, 0, 1}), std::invalid_argument);
   EXPECT_THROW(PlanKey::broadcast(kMachine, 16), std::invalid_argument);
   EXPECT_THROW(PlanKey::kitem(kMachine, 0), std::invalid_argument);
+}
+
+TEST(PlanKey, RejectsItemCountsPastInt32) {
+  // The k-item, buffered, all-to-all and k-item baseline builders take an
+  // int item count: a larger k must be refused, not narrowed into a plan
+  // for a different k cached under the wide key.
+  const std::int64_t wide = (std::int64_t{1} << 32) + 1;
+  const std::int64_t int_max = std::numeric_limits<std::int32_t>::max();
+  for (const Problem p :
+       {Problem::kKItemBroadcast, Problem::kBufferedKItemBroadcast,
+        Problem::kAllToAll, Problem::kSerializedKItem,
+        Problem::kPipelinedBinaryKItem, Problem::kPipelinedChainKItem}) {
+    EXPECT_THROW((void)PlanKey::make(p, kMachine, wide), std::invalid_argument)
+        << problem_name(p);
+    EXPECT_THROW((void)PlanKey::make(p, kMachine, int_max + 1),
+                 std::invalid_argument)
+        << problem_name(p);
+    EXPECT_EQ(PlanKey::make(p, kMachine, int_max).k, int_max)
+        << problem_name(p);
+  }
+  Planner planner;
+  EXPECT_THROW((void)planner.plan(Problem::kAllToAll, Params{8, 4, 1, 2}, wide),
+               std::invalid_argument);
+  EXPECT_EQ(planner.builds(), 0u);
+  // Summation's operand count n is 64-bit; problems that ignore k still
+  // normalize it to 1.
+  EXPECT_EQ(PlanKey::summation(kMachine, wide).k, wide);
+  EXPECT_EQ(PlanKey::make(Problem::kBroadcast, kMachine, wide).k, 1);
 }
 
 TEST(PlanKey, MembershipMasksRequireSmallMachines) {
