@@ -1,5 +1,7 @@
 #include "bcast/kitem_buffered.hpp"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "sched/metrics.hpp"
@@ -8,10 +10,13 @@
 namespace logpc::bcast {
 namespace {
 
+// 64-bit fields leave the struct without padding. gtest names each case
+// by a byte dump of the parameter, and uninitialised padding bytes would
+// make the names differ from process to process.
 struct Instance {
-  int P;
+  std::int64_t P;
   Time L;
-  int k;
+  std::int64_t k;
 };
 
 class BufferedSweep : public ::testing::TestWithParam<Instance> {};
@@ -19,7 +24,9 @@ class BufferedSweep : public ::testing::TestWithParam<Instance> {};
 // Theorem 3.8: in the modified model the single-sending lower bound
 // B(P-1) + L + k - 1 is achieved exactly, for all k, L, P.
 TEST_P(BufferedSweep, MeetsSingleSendingLowerBoundExactly) {
-  const auto [P, L, k] = GetParam();
+  const int P = static_cast<int>(GetParam().P);
+  const Time L = GetParam().L;
+  const int k = static_cast<int>(GetParam().k);
   const auto r = kitem_buffered(P, L, k);
   EXPECT_EQ(r.completion, r.bounds.single_sending_lower)
       << "P=" << P << " L=" << L << " k=" << k;

@@ -1,5 +1,7 @@
 #include "bcast/three_phase.hpp"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "bcast/kitem.hpp"
@@ -9,16 +11,21 @@
 namespace logpc::bcast {
 namespace {
 
+// 64-bit fields leave the struct without padding. gtest names each case
+// by a byte dump of the parameter, and uninitialised padding bytes would
+// make the names differ from process to process.
 struct Instance {
-  int P;
+  std::int64_t P;
   Time L;
-  int k;
+  std::int64_t k;
 };
 
 class ThreePhaseSweep : public ::testing::TestWithParam<Instance> {};
 
 TEST_P(ThreePhaseSweep, ValidSingleSendingAndComplete) {
-  const auto [P, L, k] = GetParam();
+  const int P = static_cast<int>(GetParam().P);
+  const Time L = GetParam().L;
+  const int k = static_cast<int>(GetParam().k);
   const auto r = kitem_three_phase(P, L, k);
   const auto check = validate::check(r.schedule);
   EXPECT_TRUE(check.ok()) << check.summary();
