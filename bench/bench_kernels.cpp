@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <random>
 #include <span>
 #include <string>
@@ -11,7 +13,6 @@
 
 #include "bcast/reduction.hpp"
 #include "bench_util.hpp"
-#include "exec/arena.hpp"
 #include "exec/engine.hpp"
 #include "exec/kernels.hpp"
 #include "exec/program.hpp"
@@ -25,9 +26,8 @@
 ///
 /// The acceptance bar for this PR: >= 4x kernel-vs-generic throughput for
 /// sum/f32 and sum/i64 at payloads >= 64 KiB on >= 8 ranks.  The fold
-/// chain is measured single-threaded on arena-aligned buffers (the
-/// engine's own staging), so the ratio isolates the combine lane from
-/// thread scheduling noise.
+/// chain is measured single-threaded on 64-byte-aligned buffers, so the
+/// ratio isolates the combine lane from thread scheduling noise.
 
 namespace {
 
@@ -63,6 +63,32 @@ void fill_random(std::byte* p, std::size_t n, std::mt19937& rng, DType t) {
   }
 }
 
+/// `count` buffers of `size` bytes, each 64-byte aligned, back to back in
+/// one block: the layout every kernel cell has been measured on.
+class AlignedBuffers {
+ public:
+  static constexpr std::size_t kAlign = 64;
+
+  AlignedBuffers(std::size_t count, std::size_t size)
+      : stride_((size + kAlign - 1) / kAlign * kAlign),
+        mem_(static_cast<std::byte*>(::operator new[](
+            std::max<std::size_t>(stride_ * count, 1),
+            std::align_val_t{kAlign}))) {}
+
+  [[nodiscard]] std::byte* at(std::size_t i) const {
+    return mem_.get() + i * stride_;
+  }
+
+ private:
+  struct Free {
+    void operator()(std::byte* p) const noexcept {
+      ::operator delete[](p, std::align_val_t{kAlign});
+    }
+  };
+  std::size_t stride_;
+  std::unique_ptr<std::byte[], Free> mem_;
+};
+
 struct CellResult {
   double kernel_gbps = 0;
   double generic_gbps = 0;
@@ -79,13 +105,13 @@ struct CellResult {
 CellResult measure_cell(const KernelSpec& spec, std::size_t payload, int P,
                         std::mt19937& rng) {
   const std::size_t chain = static_cast<std::size_t>(P - 1);
-  BufferArena arena(payload * (chain + 1) + 4096);
-  std::byte* acc = arena.allocate(payload);
+  const AlignedBuffers bufs(chain + 1, payload);
+  std::byte* acc = bufs.at(0);
   std::vector<std::byte*> operands(chain);
   fill_random(acc, payload, rng, spec.dtype);
-  for (auto& op : operands) {
-    op = arena.allocate(payload);
-    fill_random(op, payload, rng, spec.dtype);
+  for (std::size_t i = 0; i < chain; ++i) {
+    operands[i] = bufs.at(i + 1);
+    fill_random(operands[i], payload, rng, spec.dtype);
   }
   Bytes acc_vec(payload);
   std::memcpy(acc_vec.data(), acc, payload);
@@ -193,15 +219,14 @@ void report() {
     const ExecReport generic_run =
         engine.run(prog, values, generic_combine(spec));
     const ExecReport typed_run = engine.run(prog, values, Combiner(spec));
-    bench::Table t({"lane", "wall ms", "kernel folds", "arena KiB"});
+    bench::Table t({"lane", "wall ms", "kernel folds"});
     char g[32], k[32];
     std::snprintf(g, sizeof g, "%.3f",
                   static_cast<double>(generic_run.wall_ns) / 1e6);
     std::snprintf(k, sizeof k, "%.3f",
                   static_cast<double>(typed_run.wall_ns) / 1e6);
-    t.row("generic", g, generic_run.kernel_folds,
-          generic_run.arena_bytes >> 10);
-    t.row("typed", k, typed_run.kernel_folds, typed_run.arena_bytes >> 10);
+    t.row("generic", g, generic_run.kernel_folds);
+    t.row("typed", k, typed_run.kernel_folds);
     t.print();
     json.entry("engine_reduce",
                {{"op", "sum"}, {"dtype", "f32"},
@@ -220,9 +245,9 @@ void BM_KernelFold(benchmark::State& state) {
   const auto payload = static_cast<std::size_t>(state.range(0));
   const KernelSpec spec{Op::kSum, DType::kF32};
   const KernelFn k = lookup(spec);
-  BufferArena arena(payload * 2 + 256);
-  std::byte* acc = arena.allocate(payload);
-  std::byte* rhs = arena.allocate(payload);
+  const AlignedBuffers bufs(2, payload);
+  std::byte* acc = bufs.at(0);
+  std::byte* rhs = bufs.at(1);
   std::mt19937 rng(1);
   fill_random(acc, payload, rng, spec.dtype);
   fill_random(rhs, payload, rng, spec.dtype);
@@ -252,16 +277,6 @@ void BM_GenericFold(benchmark::State& state) {
                           static_cast<std::int64_t>(payload));
 }
 BENCHMARK(BM_GenericFold)->Arg(1024)->Arg(64 * 1024)->Arg(1 << 20);
-
-void BM_ArenaAllocate(benchmark::State& state) {
-  for (auto _ : state) {
-    BufferArena arena(1 << 16);
-    for (int i = 0; i < 64; ++i) {
-      benchmark::DoNotOptimize(arena.allocate(1000));
-    }
-  }
-}
-BENCHMARK(BM_ArenaAllocate);
 
 }  // namespace
 

@@ -22,6 +22,9 @@
 # gates the same way (tuned-vs-fixed and warm plan_tuned overhead are
 # same-machine ratios) and its decision-table winners are diffed against
 # bench/baselines/BENCH_tuning.json as a non-blocking warning.
+#
+# Every stage runs even when an earlier one fails; the script then exits
+# non-zero and lists the stages that failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,23 +50,44 @@ cmake --build "$BUILD" -j "$JOBS" \
   --target bench_kernels bench_exec bench_service bench_loadgen \
   bench_profile bench_plan_cache bench_tuning
 
+FAILED=()
+# stage NAME CMD...: runs one stage, recording NAME when it fails.
+stage() {
+  local name="$1"
+  shift
+  if ! "$@"; then
+    echo "perf_smoke: stage $name FAILED"
+    FAILED+=("$name")
+  fi
+}
+
+# Exits with the stage verdict: non-zero with the failed list, if any.
+finish() {
+  if ((${#FAILED[@]} > 0)); then
+    echo
+    echo "perf_smoke: ${#FAILED[@]} stage(s) failed: ${FAILED[*]}" >&2
+    exit 1
+  fi
+  exit 0
+}
+
 echo
 echo "=== bench_kernels ==="
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_kernels" \
-  --benchmark_filter='^$' 2>/dev/null
+stage bench_kernels env LOGPC_BENCH_DIR="$OUT" \
+  "./$BUILD/bench/bench_kernels" --benchmark_filter='^$' 2>/dev/null
 
 echo
 echo "=== bench_exec ==="
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_exec" \
-  --benchmark_filter='^$' 2>/dev/null
+stage bench_exec env LOGPC_BENCH_DIR="$OUT" \
+  "./$BUILD/bench/bench_exec" --benchmark_filter='^$' 2>/dev/null
 
 echo
 echo "=== bench_service ==="
 # Sustained service throughput (warm daemon vs cold per-run engines).
 # Artifact-only like bench_exec: absolute req/s moves with runner load, so
 # BENCH_throughput.json records the trajectory without gating.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_service" \
-  --benchmark_filter='^$' 2>/dev/null
+stage bench_service env LOGPC_BENCH_DIR="$OUT" \
+  "./$BUILD/bench/bench_service" --benchmark_filter='^$' 2>/dev/null
 
 echo
 echo "=== bench_loadgen --smoke ==="
@@ -71,7 +95,7 @@ echo "=== bench_loadgen --smoke ==="
 # sustained load.  Gates on its internal floor (fused >= unfused); the
 # LOGPC_BENCH_MERGE flag appends its entries to the BENCH_throughput.json
 # bench_service just wrote instead of overwriting it.
-LOGPC_BENCH_DIR="$OUT" LOGPC_BENCH_MERGE=1 \
+stage bench_loadgen env LOGPC_BENCH_DIR="$OUT" LOGPC_BENCH_MERGE=1 \
   "./$BUILD/bench/bench_loadgen" --smoke
 
 echo
@@ -79,7 +103,7 @@ echo "=== bench_profile ==="
 # Always-on profiling overhead on the warm serving path.  This one gates:
 # profile-on vs profile-off is a same-machine ratio, so it is stable even
 # on loaded runners; a breach means obs::analyze got expensive.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_profile"
+stage bench_profile env LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_profile"
 
 echo
 echo "=== bench_plan_cache (million-rank smoke) ==="
@@ -88,8 +112,8 @@ echo "=== bench_plan_cache (million-rank smoke) ==="
 # P = 2^20, and planning + structurally simulating a 1M-rank broadcast
 # must succeed.  Gates (exit non-zero): both checks are same-machine
 # ratios / pass-fail sweeps, so runner load does not destabilise them.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_plan_cache" \
-  --benchmark_filter='^$' 2>/dev/null
+stage bench_plan_cache env LOGPC_BENCH_DIR="$OUT" \
+  "./$BUILD/bench/bench_plan_cache" --benchmark_filter='^$' 2>/dev/null
 
 echo
 echo "=== bench_tuning (auto-tuner acceptance) ==="
@@ -99,12 +123,12 @@ echo "=== bench_tuning (auto-tuner acceptance) ==="
 # Planner::plan_tuned fast path must stay within 5% of a plain plan()
 # cache hit.  Also drops decision_table.snap next to the json — the
 # artifact a deploy would install via Planner::set_decision_table.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_tuning"
+stage bench_tuning env LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_tuning"
 
 TUNING_BASELINE=bench/baselines/BENCH_tuning.json
 if [[ "$REBASELINE" == 1 || ! -f "$TUNING_BASELINE" ]]; then
   mkdir -p "$(dirname "$TUNING_BASELINE")"
-  cp "$OUT/BENCH_tuning.json" "$TUNING_BASELINE"
+  stage tuning_baseline cp "$OUT/BENCH_tuning.json" "$TUNING_BASELINE"
   echo "perf_smoke: tuning baseline written to $TUNING_BASELINE"
 else
   echo
@@ -112,14 +136,14 @@ else
   # Winner flips are informational (always exit 0): bench_tuning already
   # gated the quantities that must hold; this diff just surfaces when the
   # measured regime map moved.
-  python3 scripts/perf_diff.py --tuning "$TUNING_BASELINE" \
-    "$OUT/BENCH_tuning.json"
+  stage tuning_diff python3 scripts/perf_diff.py --tuning \
+    "$TUNING_BASELINE" "$OUT/BENCH_tuning.json"
 fi
 
 if [[ "$REBASELINE" == 1 || ! -f "$BASELINE" ]]; then
   mkdir -p "$(dirname "$BASELINE")"
   if [[ -f "$BASELINE" ]]; then
-    python3 - "$BASELINE" "$OUT/BENCH_kernels.json" <<'EOF'
+    stage kernels_baseline python3 - "$BASELINE" "$OUT/BENCH_kernels.json" <<'EOF'
 import json, sys
 base_path, fresh_path = sys.argv[1], sys.argv[2]
 base = json.load(open(base_path))
@@ -143,14 +167,15 @@ json.dump(base, open(base_path, "w"), indent=1)
 print(f"perf_smoke: min-merged {len(cells)} cells into baseline")
 EOF
   else
-    cp "$OUT/BENCH_kernels.json" "$BASELINE"
+    stage kernels_baseline cp "$OUT/BENCH_kernels.json" "$BASELINE"
   fi
   echo
   echo "perf_smoke: baseline written to $BASELINE"
-  exit 0
+  finish
 fi
 
 echo
 echo "=== diff vs $BASELINE ==="
-python3 scripts/perf_diff.py "$BASELINE" "$OUT/BENCH_kernels.json" \
-  --tolerance 0.25
+stage kernels_diff python3 scripts/perf_diff.py "$BASELINE" \
+  "$OUT/BENCH_kernels.json" --tolerance 0.25
+finish

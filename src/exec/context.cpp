@@ -70,14 +70,6 @@ bool RunContext::prepare(const RunShape& shape) {
     accepted.clear();
     attempts.clear();
   }
-
-  // The arena rewinds without releasing chunks, so same-sized payload
-  // staging re-carves the previous run's memory.  Slot tables are sized by
-  // the caller (they depend on num_items, not the shape).
-  arena.reset();
-  slots.clear();
-  slot_filled.clear();
-  slot_used.clear();
   return warm;
 }
 

@@ -12,11 +12,23 @@
 #include <thread>
 #include <utility>
 
-#include "exec/arena.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
 
 namespace logpc::exec {
+
+/// Where one run's payload lives while its workers run.  kMove: `slots`
+/// points every (processor, item) the plan touches at its final bytes
+/// inside ExecReport::items, sized before the workers start, so a delivery
+/// is one memcpy into place and the report needs no publication pass.
+/// kFold/kSum: the accumulators are ExecReport::folded; kSum also folds
+/// each processor's local `operands`.
+struct Staging {
+  std::size_t num_items = 0;
+  std::vector<std::span<std::byte>> slots;  ///< kMove: [proc * num_items + item]
+  const std::vector<std::vector<Bytes>>* operands = nullptr;  ///< kSum
+  const Combiner* op = nullptr;  ///< kFold / kSum
+};
 
 namespace {
 
@@ -55,6 +67,502 @@ struct Failure {
   }
 };
 
+/// One worker's run-level counters, summed into the report after the
+/// pool barrier.
+struct Tally {
+  std::size_t bytes_moved = 0;
+  std::size_t retries = 0;
+  std::size_t duplicates = 0;
+  std::size_t kernel_folds = 0;
+  std::size_t generic_folds = 0;
+  std::size_t kernel_bytes = 0;
+  std::vector<double> backoffs_ns;  ///< lapsed retransmit waits
+};
+
+/// Everything the workers of one run share.  Each worker writes only its
+/// own processor's entries of `report` and `tallies`, and only its own
+/// side of each link's state in `ctx`.
+struct Run {
+  const Program& program;
+  const Staging& staging;
+  ExecReport& report;
+  RunContext& ctx;
+  const WaitPolicy& wait;
+  const Engine::Recovery& rec;
+  const fault::Injector* injector;
+  Clock::time_point start;
+  Clock::time_point deadline;
+  std::vector<Tally> tallies;
+  Failure failure;
+  ParkGate park_gate;
+
+  [[nodiscard]] std::uint64_t now_ns() const { return ns_since(start); }
+
+  /// The one blocking wait: walks the WaitPolicy ladder until `attempt`
+  /// succeeds.  Each slow tick checks the watchdog deadline, then runs the
+  /// delivery's `tick` bookkeeping, which returns false to give up.
+  template <class Attempt, class Tick>
+  bool block(int wi, Attempt&& attempt, Tick&& tick) {
+    Waiter w(wait, &park_gate);
+    while (!attempt()) {
+      if (failure.abort.load(std::memory_order_acquire)) return false;
+      if (w.should_tick()) {
+        if (Clock::now() > deadline) {
+          failure.fail("exec::Engine: timeout at P" + std::to_string(wi) +
+                       " (" + program.label + ")");
+          return false;
+        }
+        if (!tick()) return false;
+        w.idle();
+      }
+    }
+    return true;
+  }
+};
+
+/// Fault-free delivery: a send is one push, a receive one pop — or, on a
+/// receive chain, one bulk drain of what the producer already queued.
+/// Slow ticks check only the watchdog.
+class Direct {
+ public:
+  Direct(Run& run, int wi) : run_(run), wi_(wi) {}
+
+  bool step(std::size_t /*instr_index*/) { return true; }
+
+  bool send(const Instr& ins, const Message& m) {
+    SpscMailbox& mb = *run_.ctx.mailboxes[static_cast<std::size_t>(ins.link)];
+    return run_.block(wi_, [&] { return mb.try_push(m); }, [] { return true; });
+  }
+
+  bool recv(const Instr& ins, Message& m) {
+    const auto link = static_cast<std::size_t>(ins.link);
+    SpscMailbox& mb = *run_.ctx.mailboxes[link];
+    auto pop = [&] {
+      return run_.block(wi_, [&] { return mb.try_pop(m); }, [] { return true; });
+    };
+    // Drain every message this stream consumes back-to-back on this link
+    // (Instr::chain) in one bulk pop — one acquire/release round for the
+    // whole batch instead of one per message.  Unchained receives (chain
+    // <= 1, e.g. all-to-all's rotating links) take a plain pop: a
+    // single-message bulk pop adds queue bookkeeping on top of the same
+    // ring round-trip.
+    PendingQ& pq = run_.ctx.pending[link];
+    if (pq.head < pq.buf.size()) {
+      m = pq.buf[pq.head++];
+      return true;
+    }
+    if (ins.chain <= 1) return pop();
+    // Chained receive with nothing pending: block for the head message
+    // exactly like the unchained path (a drip-feeding pipeline pays
+    // nothing over a plain pop), then claim whatever the producer already
+    // queued behind it — up to the rest of the chain — in one bulk pop.
+    if (!pop()) return false;
+    pq.buf.clear();
+    pq.head = 0;
+    (void)mb.pop_bulk(pq.buf, static_cast<std::size_t>(ins.chain) - 1);
+    return true;
+  }
+
+  void finish() {}
+
+ private:
+  Run& run_;
+  int wi_;
+};
+
+/// Acked delivery, taken when a run has a fault::Injector or
+/// Recovery::enabled.  Messages carry per-link sequence numbers; the
+/// receiver accepts exactly the next one, acks it on the reverse ring and
+/// discards everything else (duplicates re-acked, later ones resent by
+/// their sender).  A send records its message as unacked and moves on;
+/// every wait this rank makes — and a last one before its worker returns
+/// — services those: drain acks, retransmit on the backoff timer, suspect
+/// the peer.  Heartbeats feed the failure detector, and the injector's
+/// delay / drop / slow / dead hooks act here and nowhere else.
+class Acked {
+ public:
+  Acked(Run& run, int wi)
+      : run_(run),
+        ctx_(run.ctx),
+        rec_(run.rec),
+        inj_(run.injector),
+        wi_(wi),
+        p_(static_cast<std::size_t>(wi)),
+        rank_(static_cast<ProcId>(wi)),
+        events_(run.report.fault_events[p_]),
+        tally_(run.tallies[p_]),
+        slow_(inj_ != nullptr && inj_->is_slow(rank_)) {
+    if (slow_ && !run.program.procs[p_].instrs.empty()) {
+      events_.push_back(
+          fault::FaultEvent{fault::FaultKind::kSlow, rank_, kNoProc, 0});
+    }
+  }
+
+  bool step(std::size_t instr_index) {
+    beat();
+    if (inj_ != nullptr && inj_->dies_at(rank_, instr_index)) {
+      // Crash-stop: no more sends, receives, acks, or heartbeats.  The
+      // peers' failure detectors take it from here.
+      events_.push_back(fault::FaultEvent{fault::FaultKind::kDead, rank_,
+                                          kNoProc, instr_index});
+      return false;
+    }
+    return !slow_ || stall(inj_->slow_stall_ns());
+  }
+
+  bool send(const Instr& ins, Message m) {
+    const auto link = static_cast<std::size_t>(ins.link);
+    m.seq = ++ctx_.send_seq[link];
+    const std::uint64_t delay =
+        inj_ != nullptr ? inj_->send_delay_ns(rank_, ins.link, m.seq) : 0;
+    if (delay > 0) {
+      events_.push_back(
+          fault::FaultEvent{fault::FaultKind::kDelay, rank_, ins.peer, m.seq});
+      if (!stall(delay)) return false;
+    }
+    SpscMailbox& mb = *ctx_.mailboxes[link];
+    if (!wait_on(ins.peer, [&] { return mb.try_push(m); })) return false;
+    const auto backoff = std::chrono::microseconds(rec_.ack_timeout_us);
+    unacked_.push_back(Unacked{link, ins.peer, m, watch_of(ins.peer), backoff,
+                               Clock::now() + backoff, rec_.max_retries});
+    return true;
+  }
+
+  bool recv(const Instr& ins, Message& m) {
+    const auto link = static_cast<std::size_t>(ins.link);
+    SpscMailbox& mb = *ctx_.mailboxes[link];
+    AckRing& ar = *ctx_.acks[link];
+    const std::uint64_t expect = ctx_.accepted[link] + 1;
+    for (;;) {
+      if (!wait_on(ins.peer, [&] { return mb.try_pop(m); })) return false;
+      if (m.seq < expect) {
+        // A retransmitted copy of a message already accepted: discard
+        // exactly-once, re-ack best-effort so the sender stops resending.
+        ++tally_.duplicates;
+        ar.try_push(ctx_.accepted[link]);
+        continue;
+      }
+      // A later message overtook one this rank dropped: discard it too,
+      // its sender resends it after the missing one (go-back-N).
+      if (m.seq > expect) continue;
+      const std::uint64_t attempt = ++ctx_.attempts[link];
+      if (inj_ != nullptr &&
+          inj_->drop_delivery(rank_, ins.link, m.seq, attempt)) {
+        // Discarded in transit: no ack, so the sender retransmits.
+        events_.push_back(
+            fault::FaultEvent{fault::FaultKind::kDrop, rank_, ins.peer, m.seq});
+        continue;
+      }
+      break;
+    }
+    ctx_.accepted[link] = m.seq;
+    ctx_.attempts[link] = 0;
+    return wait_on(ins.peer, [&] { return ar.try_push(ctx_.accepted[link]); });
+  }
+
+  /// Before the worker returns: wait until every send is acked.
+  void finish() {
+    (void)run_.block(
+        wi_, [&] { beat(); return drain(); }, [&] { return service(); });
+  }
+
+ private:
+  /// Liveness watch on one peer: last observed heartbeat + when it last
+  /// moved.
+  struct Watch {
+    std::uint64_t hb;
+    Clock::time_point changed;
+  };
+
+  /// A pushed message whose ack has not arrived, with its retransmit
+  /// timer.
+  struct Unacked {
+    std::size_t link;
+    ProcId peer;
+    Message m;
+    Watch watch;
+    std::chrono::microseconds backoff;
+    Clock::time_point next_retx;
+    int retries_left;
+  };
+
+  void beat() { ctx_.hearts[p_].v.fetch_add(1, std::memory_order_relaxed); }
+
+  Watch watch_of(ProcId peer) const {
+    return Watch{ctx_.hearts[static_cast<std::size_t>(peer)].v.load(
+                     std::memory_order_relaxed),
+                 Clock::now()};
+  }
+
+  /// Accuses `peer` dead once its heartbeat has stayed frozen for
+  /// suspect_after_ms of this rank's waiting on it.
+  bool suspect(ProcId peer, Watch& w) {
+    const std::uint64_t cur =
+        ctx_.hearts[static_cast<std::size_t>(peer)].v.load(
+            std::memory_order_relaxed);
+    const Clock::time_point now = Clock::now();
+    if (cur != w.hb) {
+      w.hb = cur;
+      w.changed = now;
+      return false;
+    }
+    if (now - w.changed < std::chrono::milliseconds(rec_.suspect_after_ms)) {
+      return false;
+    }
+    run_.failure.fail_rank(
+        peer, "exec::Engine: rank " + std::to_string(peer) +
+                  " declared dead (heartbeat frozen while P" +
+                  std::to_string(wi_) + " waited on it, " +
+                  run_.program.label + ")");
+    return true;
+  }
+
+  /// A wait on `peer` that keeps this rank's heartbeat moving and, on
+  /// every slow tick, suspects the peer and services the unacked sends.
+  template <class Attempt>
+  bool wait_on(ProcId peer, Attempt&& attempt) {
+    Watch watch = watch_of(peer);
+    return run_.block(
+        wi_, [&] { beat(); return attempt(); },
+        [&] { return !suspect(peer, watch) && service(); });
+  }
+
+  /// Busy-stall (injected delay / slow-rank stall) that stays alive to the
+  /// failure detector and keeps servicing the unacked sends.
+  bool stall(std::uint64_t ns) {
+    const Clock::time_point until = Clock::now() + std::chrono::nanoseconds(ns);
+    return run_.block(
+        wi_, [&] { beat(); return Clock::now() >= until; },
+        [&] { return service(); });
+  }
+
+  /// Drains the acks of every unacked link and forgets what they cover;
+  /// true when nothing is left unacked.
+  bool drain() {
+    std::erase_if(unacked_, [&](const Unacked& u) {
+      AckRing& ar = *ctx_.acks[u.link];
+      std::uint64_t& acked = ctx_.acked[u.link];
+      std::uint64_t a = 0;
+      while (ar.try_pop(a)) acked = std::max(acked, a);
+      return acked >= u.m.seq;
+    });
+    return unacked_.empty();
+  }
+
+  /// Drain, suspect the peer of each message still unacked, and retransmit
+  /// those whose timer lapsed with exponential backoff (max_retries ramp
+  /// steps, then a steady max_backoff cadence) for as long as the ack is
+  /// missing.  A copy goes only into an empty ring: a non-empty one means
+  /// the receiver has not consumed what is queued yet, so nothing past it
+  /// was lost — and copies never crowd out the plan's own messages.
+  bool service() {
+    drain();
+    const Clock::time_point now = Clock::now();
+    const auto max_backoff = std::chrono::microseconds(rec_.max_backoff_us);
+    const auto factor = static_cast<std::int64_t>(
+        std::max<std::uint64_t>(rec_.backoff_factor, 1));
+    for (Unacked& u : unacked_) {
+      if (suspect(u.peer, u.watch)) return false;
+      if (now < u.next_retx) continue;
+      tally_.backoffs_ns.push_back(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(u.backoff)
+              .count()));
+      SpscMailbox& mb = *ctx_.mailboxes[u.link];
+      if (mb.size() == 0 && mb.try_push(u.m)) ++tally_.retries;
+      if (u.retries_left > 0) {
+        --u.retries_left;
+        u.backoff = std::min(u.backoff * factor, max_backoff);
+      }
+      u.next_retx = now + u.backoff;
+    }
+    return true;
+  }
+
+  Run& run_;
+  RunContext& ctx_;
+  const Engine::Recovery& rec_;
+  const fault::Injector* inj_;
+  int wi_;
+  std::size_t p_;
+  ProcId rank_;
+  std::vector<fault::FaultEvent>& events_;
+  Tally& tally_;
+  bool slow_;
+  std::vector<Unacked> unacked_;
+};
+
+/// The one worker loop: processor `wi` runs its instruction stream against
+/// the run's staging, moving messages through `Delivery`.
+template <class Delivery>
+void worker(Run& run, int wi) {
+  const auto p = static_cast<std::size_t>(wi);
+  const Program& program = run.program;
+  const ProcProgram& stream = program.procs[p];
+  const Staging& staging = run.staging;
+  obs::Span span("exec.worker", "exec");
+  if (span.active()) {
+    span.set_arg("p" + std::to_string(wi) + " " + program.label);
+  }
+  Delivery net(run, wi);
+  Tally& tally = run.tallies[p];
+
+  // kMove reads and writes the item slots; kFold seeds the accumulator
+  // with the processor's own value (already in report.folded), kSum
+  // starts it empty.  A typed combiner takes the fused kernel on every
+  // size-matched fold; anything else — including the first contribution,
+  // which is assigned — goes through the generic lane.  The fold ORDER is
+  // the instruction stream either way, so non-commutative
+  // combination_order survives intact.
+  auto slot = [&](ItemId item) {
+    return staging.slots[p * staging.num_items + static_cast<std::size_t>(item)];
+  };
+  Bytes& acc = run.report.folded[p];
+  bool acc_have = program.mode == Mode::kFold;
+  const KernelFn kernel =
+      staging.op != nullptr ? staging.op->kernel() : nullptr;
+  auto fold = [&](std::span<const std::byte> rhs) {
+    if (!acc_have) {
+      acc.assign(rhs.begin(), rhs.end());
+      acc_have = true;
+      return;
+    }
+    if (kernel != nullptr && acc.size() == rhs.size()) {
+      kernel(acc.data(), rhs.data(), acc.size());
+      ++tally.kernel_folds;
+      tally.kernel_bytes += rhs.size();
+    } else {
+      (staging.op->generic())(acc, rhs);
+      ++tally.generic_folds;
+    }
+  };
+  std::size_t operand_pos = 0;
+
+  std::vector<ExecEvent>& events = run.report.events[p];
+  events.reserve(stream.instrs.size());
+  for (std::size_t ii = 0; ii < stream.instrs.size(); ++ii) {
+    const Instr& ins = stream.instrs[ii];
+    if (!net.step(ii)) return;
+    if (ins.op == OpCode::kCombineLocal) {
+      const auto& local =
+          (*staging.operands)[static_cast<std::size_t>(stream.sum_index)];
+      for (std::int32_t c = 0; c < ins.count; ++c) fold(local[operand_pos++]);
+      continue;
+    }
+    ExecEvent ev;
+    ev.kind = ins.op == OpCode::kSend ? ExecEvent::Kind::kSend
+                                      : ExecEvent::Kind::kRecv;
+    ev.peer = ins.peer;
+    ev.item = ins.item;
+    ev.planned = ins.when;
+    ev.start_ns = run.now_ns();
+    if (ins.op == OpCode::kSend) {
+      const std::span<const std::byte> payload =
+          program.mode == Mode::kMove ? slot(ins.item)
+                                      : std::span<const std::byte>(acc);
+      if (!net.send(ins, Message{ins.item, payload.data(), payload.size(), 0})) {
+        return;
+      }
+      ev.xfer_ns = run.now_ns();
+      tally.bytes_moved += payload.size();
+    } else {
+      Message m;
+      if (!net.recv(ins, m)) return;
+      ev.xfer_ns = run.now_ns();
+      if (m.item != ins.item) {
+        run.failure.fail("exec::Engine: P" + std::to_string(wi) +
+                         " expected item " + std::to_string(ins.item) +
+                         " from P" + std::to_string(ins.peer) + ", got " +
+                         std::to_string(m.item));
+        return;
+      }
+      if (program.mode == Mode::kMove) {
+        const std::span<std::byte> dst = slot(m.item);
+        if (dst.size() != m.size) {
+          run.failure.fail("exec::Engine: P" + std::to_string(wi) +
+                           " received item " + std::to_string(m.item) +
+                           " with unexpected payload size " +
+                           std::to_string(m.size));
+          return;
+        }
+        if (m.size != 0) std::memcpy(dst.data(), m.data, m.size);
+      } else {
+        fold(std::span<const std::byte>(m.data, m.size));
+      }
+      run.report.deliveries[p].push_back(
+          validate::DeliveryRecord{ins.peer, m.item});
+    }
+    ev.end_ns = run.now_ns();
+    events.push_back(ev);
+  }
+  net.finish();
+}
+
+/// The validation every entry point shares.
+void check_program(const Program& program, Mode mode, const char* mismatch) {
+  if (program.mode != mode) {
+    throw std::invalid_argument(std::string("Engine::run: ") + mismatch);
+  }
+  program.params.require_valid();
+  if (program.procs.size() != static_cast<std::size_t>(program.params.P)) {
+    throw std::invalid_argument("Engine::run: program/params size mismatch");
+  }
+}
+
+void check_combiner(const Combiner& op) {
+  if (!op.valid()) {
+    throw std::invalid_argument("Engine::run: combiner has no operator");
+  }
+}
+
+/// A report carrying the program's identity and one empty log and
+/// accumulator per processor.
+ExecReport blank_report(const Program& program) {
+  ExecReport report;
+  report.params = program.params;
+  report.mode = program.mode;
+  report.label = program.label;
+  report.predicted_makespan = program.predicted_makespan;
+  report.messages = program.num_messages;
+  const std::size_t P = program.procs.size();
+  report.events.resize(P);
+  report.deliveries.resize(P);
+  report.fault_events.resize(P);
+  report.folded.resize(P);
+  return report;
+}
+
+/// kMove staging: gives each processor `bufs_per_proc` result buffers,
+/// lets `place(bufs, item)` size the item's bytes inside them for every
+/// slot the plan touches — initial placements and receive targets — and
+/// seeds the initial placements from `source(item)`.
+template <class Place, class Source>
+Staging stage_items(const Program& program, ExecReport& report,
+                    std::size_t bufs_per_proc, Place&& place,
+                    Source&& source) {
+  const std::size_t P = program.procs.size();
+  Staging staging;
+  staging.num_items = static_cast<std::size_t>(program.num_items);
+  staging.slots.resize(P * staging.num_items);
+  report.items.assign(P, std::vector<Bytes>(bufs_per_proc));
+  auto touch = [&](std::size_t p, ItemId item) -> std::span<std::byte> {
+    const auto i = static_cast<std::size_t>(item);
+    return staging.slots[p * staging.num_items + i] =
+               place(report.items[p], i);
+  };
+  for (const InitialPlacement& init : program.initials) {
+    const std::span<const std::byte> src = source(init.item);
+    const std::span<std::byte> dst =
+        touch(static_cast<std::size_t>(init.proc), init.item);
+    if (!src.empty()) std::memcpy(dst.data(), src.data(), src.size());
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    for (const Instr& ins : program.procs[p].instrs) {
+      if (ins.op == OpCode::kRecv) touch(p, ins.item);
+    }
+  }
+  return staging;
+}
+
 }  // namespace
 
 Engine& Engine::shared() {
@@ -70,20 +578,31 @@ void Engine::prewarm(int procs) {
 ExecReport Engine::run(const Program& program,
                        const std::vector<Bytes>& item_values,
                        const fault::Injector* injector) {
-  if (program.mode != Mode::kMove) {
-    throw std::invalid_argument("Engine::run: program is not move-mode");
+  check_program(program, Mode::kMove, "program is not move-mode");
+  if (item_values.size() != static_cast<std::size_t>(program.num_items)) {
+    throw std::invalid_argument(
+        "Engine::run: expected " + std::to_string(program.num_items) +
+        " item payloads, got " + std::to_string(item_values.size()));
   }
-  return run_impl(program, &item_values, nullptr, nullptr, nullptr, nullptr,
-                  injector);
+  ExecReport report = blank_report(program);
+  const Staging staging = stage_items(
+      program, report, item_values.size(),
+      [&](std::vector<Bytes>& bufs, std::size_t i) {
+        bufs[i].resize(item_values[i].size());
+        return std::span<std::byte>(bufs[i]);
+      },
+      [&](ItemId item) {
+        return std::span<const std::byte>(
+            item_values[static_cast<std::size_t>(item)]);
+      });
+  return execute(program, std::move(report), staging, injector);
 }
 
 ExecReport Engine::run_segmented(const Program& program,
                                  const SegmentRun& seg,
                                  const fault::Injector* injector) {
-  if (program.mode != Mode::kMove) {
-    throw std::invalid_argument(
-        "Engine::run: segmented run needs a move-mode program");
-  }
+  check_program(program, Mode::kMove,
+                "segmented run needs a move-mode program");
   if (seg.segments != program.num_items) {
     throw std::invalid_argument(
         "Engine::run: SegmentRun::segments (" +
@@ -94,74 +613,70 @@ ExecReport Engine::run_segmented(const Program& program,
     throw std::invalid_argument(
         "Engine::run: segmented run needs a non-empty payload");
   }
-  return run_impl(program, nullptr, &seg, nullptr, nullptr, nullptr, injector);
+  // Coalesced layout: every processor the plan touches gets ONE
+  // contiguous buffer the size of the whole payload, and each segment's
+  // slot is its range of it — longer segments first, as
+  // svc::split_segments cuts them.
+  const std::size_t total = seg.payload.size();
+  const std::size_t k = static_cast<std::size_t>(seg.segments);
+  const auto range = [base = total / k, rem = total % k](std::size_t i) {
+    return std::pair{i * base + std::min(i, rem), base + (i < rem ? 1 : 0)};
+  };
+  ExecReport report = blank_report(program);
+  const Staging staging = stage_items(
+      program, report, 1,
+      [&](std::vector<Bytes>& bufs, std::size_t i) {
+        bufs[0].resize(total);
+        const auto [off, len] = range(i);
+        return std::span<std::byte>(bufs[0]).subspan(off, len);
+      },
+      [&](ItemId item) {
+        const auto [off, len] = range(static_cast<std::size_t>(item));
+        return seg.payload.subspan(off, len);
+      });
+  return execute(program, std::move(report), staging, injector);
 }
 
 ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
                        const Combiner& op, const fault::Injector* injector) {
-  if (program.mode != Mode::kFold) {
-    throw std::invalid_argument("Engine::run: program is not fold-mode");
+  check_program(program, Mode::kFold, "program is not fold-mode");
+  check_combiner(op);
+  if (values.size() != program.procs.size()) {
+    throw std::invalid_argument(
+        "Engine::run: expected one value per processor");
   }
-  if (!op.valid()) {
-    throw std::invalid_argument("Engine::run: combiner has no operator");
-  }
-  return run_impl(program, nullptr, nullptr, &values, nullptr, &op, injector);
+  ExecReport report = blank_report(program);
+  report.folded = values;
+  Staging staging;
+  staging.op = &op;
+  return execute(program, std::move(report), staging, injector);
 }
 
 ExecReport Engine::run(const Program& program,
                        const std::vector<std::vector<Bytes>>& operands,
                        const Combiner& op, const fault::Injector* injector) {
-  if (program.mode != Mode::kSum) {
-    throw std::invalid_argument("Engine::run: program is not summation-mode");
+  check_program(program, Mode::kSum, "program is not summation-mode");
+  check_combiner(op);
+  for (const ProcProgram& pp : program.procs) {
+    if (pp.sum_index < 0) continue;
+    const auto idx = static_cast<std::size_t>(pp.sum_index);
+    if (idx >= operands.size() || operands[idx].size() != pp.num_operands) {
+      throw std::invalid_argument(
+          "Engine::run: operand count mismatch at plan index " +
+          std::to_string(idx) + " (want " + std::to_string(pp.num_operands) +
+          ")");
+    }
   }
-  if (!op.valid()) {
-    throw std::invalid_argument("Engine::run: combiner has no operator");
-  }
-  return run_impl(program, nullptr, nullptr, nullptr, &operands, &op,
-                  injector);
+  Staging staging;
+  staging.operands = &operands;
+  staging.op = &op;
+  return execute(program, blank_report(program), staging, injector);
 }
 
-ExecReport Engine::run_impl(const Program& program,
-                            const std::vector<Bytes>* item_values,
-                            const SegmentRun* seg,
-                            const std::vector<Bytes>* fold_values,
-                            const std::vector<std::vector<Bytes>>* operands,
-                            const Combiner* op,
-                            const fault::Injector* injector) {
-  program.params.require_valid();
-  const auto P = static_cast<std::size_t>(program.params.P);
-  if (program.procs.size() != P) {
-    throw std::invalid_argument("Engine::run: program/params size mismatch");
-  }
-  const auto num_items = static_cast<std::size_t>(program.num_items);
-
-  // --- validate payload inputs against the program -----------------------
-  if (program.mode == Mode::kMove) {
-    if (item_values != nullptr && item_values->size() != num_items) {
-      throw std::invalid_argument("Engine::run: expected " +
-                                  std::to_string(num_items) +
-                                  " item payloads, got " +
-                                  std::to_string(item_values->size()));
-    }
-  } else if (program.mode == Mode::kFold) {
-    if (fold_values->size() != P) {
-      throw std::invalid_argument(
-          "Engine::run: expected one value per processor");
-    }
-  } else {
-    for (const ProcProgram& pp : program.procs) {
-      if (pp.sum_index < 0) continue;
-      const auto idx = static_cast<std::size_t>(pp.sum_index);
-      if (idx >= operands->size() ||
-          (*operands)[idx].size() != pp.num_operands) {
-        throw std::invalid_argument(
-            "Engine::run: operand count mismatch at plan index " +
-            std::to_string(idx) + " (want " +
-            std::to_string(pp.num_operands) + ")");
-      }
-    }
-  }
-
+ExecReport Engine::execute(const Program& program, ExecReport report,
+                           const Staging& staging,
+                           const fault::Injector* injector) {
+  const auto P = program.procs.size();
   const std::size_t cap = opts_.mailbox_capacity != 0
                               ? opts_.mailbox_capacity
                               : static_cast<std::size_t>(
@@ -173,526 +688,39 @@ ExecReport Engine::run_impl(const Program& program,
         " — a network admitting no in-flight message cannot run any "
         "schedule; fix the machine parameters instead of clamping");
   }
-
   const bool reliable = injector != nullptr || opts_.recovery.enabled;
-  const Recovery& rec = opts_.recovery;
-  const WaitPolicy& wait = opts_.wait;
-  const KernelFn kernel = op != nullptr ? op->kernel() : nullptr;
 
   // Serialize runs on this engine *before* starting the watchdog clock:
   // a run queued behind another must not burn its timeout budget waiting
   // for the pool.
   std::lock_guard run_lock(run_mu_);
 
-  // --- run state: the engine's warm per-run context ----------------------
   // Threads are warm when the pool already holds a worker per processor;
   // buffers are warm when the context's previous shape matches and
-  // prepare() recycled every ring/queue/arena chunk without allocating.
-  const bool pool_warm =
-      pool_.size() >= static_cast<unsigned>(program.params.P);
+  // prepare() recycled every ring and queue without allocating.
+  report.warm_pool = pool_.size() >= static_cast<unsigned>(P);
   RunShape shape;
   shape.links = program.links.size();
   shape.capacity = cap;
   shape.mailbox_stats = opts_.mailbox_stats;
   shape.reliable = reliable;
   shape.procs = P;
-  const bool buffers_warm = ctx_.prepare(shape);
-  std::vector<std::unique_ptr<SpscMailbox>>& mailboxes = ctx_.mailboxes;
-  std::vector<PendingQ>& pending = ctx_.pending;
-  std::vector<std::unique_ptr<AckRing>>& acks = ctx_.acks;
-  std::vector<std::uint64_t>& send_seq = ctx_.send_seq;
-  std::vector<std::uint64_t>& acked = ctx_.acked;
-  std::vector<std::uint64_t>& accepted = ctx_.accepted;
-  std::vector<std::uint64_t>& attempts = ctx_.attempts;
-  Heartbeat* const hearts = ctx_.hearts.get();
-
-  ExecReport report;
-  report.params = program.params;
-  report.mode = program.mode;
-  report.label = program.label;
-  report.predicted_makespan = program.predicted_makespan;
-  report.messages = program.num_messages;
+  report.warm_buffers = ctx_.prepare(shape);
   report.mailbox_capacity = cap;
-  report.warm_pool = pool_warm;
-  report.warm_buffers = buffers_warm;
-  report.events.resize(P);
-  report.deliveries.resize(P);
-  report.fault_events.resize(P);
-  report.folded.resize(P);
 
-  // --- kMove payload staging: the context's warm buffer arena ------------
-  // Every (processor, item) slot the plan touches is carved 64-byte-aligned
-  // out of one bump arena before workers start, so the receive hot path is
-  // a plain memcpy — no allocator calls on any worker thread.  The arena
-  // and slot tables live in the run context (rewound by prepare(), chunks
-  // kept warm across runs) and outlive the pool epoch below.
-  std::vector<Slot>& slots = ctx_.slots;
-  std::vector<char>& slot_filled = ctx_.slot_filled;
-  auto slot_index = [num_items](std::size_t p, std::size_t item) {
-    return p * num_items + item;
-  };
-  BufferArena& arena = ctx_.arena;
-  if (program.mode == Mode::kMove) {
-    // A segmented run coalesces: one result buffer per proc, not one per
-    // item (the per-item slots alias ranges of it, see below).
-    report.items.assign(P, std::vector<Bytes>(seg != nullptr ? 1 : num_items));
-    slots.assign(P * num_items, Slot{});
-    slot_filled.assign(P * num_items, 0);
-    std::vector<char>& used = ctx_.slot_used;
-    used.assign(P * num_items, 0);
-    for (const InitialPlacement& init : program.initials) {
-      used[slot_index(static_cast<std::size_t>(init.proc),
-                      static_cast<std::size_t>(init.item))] = 1;
-    }
-    for (std::size_t p = 0; p < P; ++p) {
-      for (const Instr& ins : program.procs[p].instrs) {
-        if (ins.op == OpCode::kRecv) {
-          used[slot_index(p, static_cast<std::size_t>(ins.item))] = 1;
-        }
-      }
-    }
-    if (seg != nullptr) {
-      // Coalesced segmented layout: every processor the plan touches gets
-      // ONE contiguous result buffer the size of the whole payload, and
-      // each segment's slot aliases its range of it.  Deliveries then land
-      // in their final position — the arena and the post-run publication
-      // pass below are skipped entirely, so a k-segment run pays no more
-      // serial memcpy than a bulk single-item run.
-      const std::size_t total = seg->payload.size();
-      const std::size_t base = total / num_items;
-      const std::size_t rem = total % num_items;
-      const auto seg_off = [base, rem](std::size_t i) {
-        return i * base + std::min(i, rem);
-      };
-      const auto seg_len = [base, rem](std::size_t i) {
-        return base + (i < rem ? 1 : 0);
-      };
-      for (std::size_t p = 0; p < P; ++p) {
-        bool touched = false;
-        for (std::size_t i = 0; i < num_items; ++i) {
-          touched = touched || used[slot_index(p, i)] != 0;
-        }
-        if (!touched) continue;
-        Bytes& buf = report.items[p][0];
-        buf.resize(total);
-        for (std::size_t i = 0; i < num_items; ++i) {
-          if (!used[slot_index(p, i)]) continue;
-          slots[slot_index(p, i)] = Slot{buf.data() + seg_off(i), seg_len(i)};
-        }
-      }
-      for (const InitialPlacement& init : program.initials) {
-        const auto item = static_cast<std::size_t>(init.item);
-        const Slot& s = slots[slot_index(static_cast<std::size_t>(init.proc),
-                                         item)];
-        if (s.size != 0) {
-          std::memcpy(s.data, seg->payload.data() + seg_off(item), s.size);
-        }
-        slot_filled[slot_index(static_cast<std::size_t>(init.proc), item)] = 1;
-      }
-    } else {
-      for (std::size_t p = 0; p < P; ++p) {
-        for (std::size_t i = 0; i < num_items; ++i) {
-          if (!used[slot_index(p, i)]) continue;
-          const std::size_t size = (*item_values)[i].size();
-          slots[slot_index(p, i)] = Slot{arena.allocate(size), size};
-        }
-      }
-      for (const InitialPlacement& init : program.initials) {
-        const Slot& s = slots[slot_index(static_cast<std::size_t>(init.proc),
-                                         static_cast<std::size_t>(init.item))];
-        const Bytes& v = (*item_values)[static_cast<std::size_t>(init.item)];
-        if (!v.empty()) std::memcpy(s.data, v.data(), v.size());
-        slot_filled[slot_index(static_cast<std::size_t>(init.proc),
-                               static_cast<std::size_t>(init.item))] = 1;
-      }
-    }
-  } else if (program.mode == Mode::kFold) {
-    for (std::size_t p = 0; p < P; ++p) report.folded[p] = (*fold_values)[p];
-  }
-  report.arena_bytes = arena.bytes_used();
-
-  std::vector<std::size_t> bytes_moved(P, 0);
-  std::vector<std::size_t> retries(P, 0);
-  std::vector<std::size_t> duplicates(P, 0);
-  std::vector<std::size_t> kernel_folds(P, 0);
-  std::vector<std::size_t> generic_folds(P, 0);
-  std::vector<std::size_t> kernel_bytes(P, 0);
-  std::vector<std::vector<double>> backoffs_ns(P);  // lapsed retransmit waits
-  Failure failure;
-  ParkGate park_gate;
   const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline =
-      start + std::chrono::milliseconds(opts_.timeout_ms);
-  const auto suspect_after = std::chrono::milliseconds(rec.suspect_after_ms);
-
-  auto worker = [&](int wi) {
-    const auto p = static_cast<std::size_t>(wi);
-    const auto rank = static_cast<ProcId>(wi);
-    const ProcProgram& stream = program.procs[p];
-    obs::Span span("exec.worker", "exec");
-    if (span.active()) {
-      span.set_arg("p" + std::to_string(wi) + " " + program.label);
-    }
-
-    auto beat = [&] {
-      if (reliable) hearts[p].v.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    // Liveness watch on one peer: last observed heartbeat + when it last
-    // moved.  suspect() accuses the peer dead once the heartbeat has been
-    // frozen for suspect_after_ms of blocked waiting.
-    struct Watch {
-      std::uint64_t hb;
-      Clock::time_point changed;
-    };
-    auto watch_of = [&](ProcId peer) {
-      return Watch{hearts[static_cast<std::size_t>(peer)].v.load(
-                       std::memory_order_relaxed),
-                   Clock::now()};
-    };
-    auto suspect = [&](ProcId peer, Watch& w) -> bool {
-      const std::uint64_t cur =
-          hearts[static_cast<std::size_t>(peer)].v.load(
-              std::memory_order_relaxed);
-      const Clock::time_point now = Clock::now();
-      if (cur != w.hb) {
-        w.hb = cur;
-        w.changed = now;
-        return false;
-      }
-      if (now - w.changed < suspect_after) return false;
-      failure.fail_rank(
-          peer, "exec::Engine: rank " + std::to_string(peer) +
-                    " declared dead (heartbeat frozen while P" +
-                    std::to_string(wi) + " waited on it, " + program.label +
-                    ")");
-      return true;
-    };
-
-    // Plain blocking wait (fault-free path): walk the WaitPolicy ladder —
-    // cpu_relax spins, then slow ticks that check the watchdog deadline
-    // and yield/park per the policy.
-    auto blocking = [&](auto&& attempt) -> bool {
-      Waiter w(wait, &park_gate);
-      while (!attempt()) {
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        if (w.should_tick()) {
-          if (Clock::now() > deadline) {
-            failure.fail("exec::Engine: timeout at P" + std::to_string(wi) +
-                         " (" + program.label + ")");
-            return false;
-          }
-          w.idle();
-        }
-      }
-      return true;
-    };
-
-    // Reliable blocking wait: additionally keeps our heartbeat moving and
-    // runs the failure detector against the peer we are blocked on.
-    auto blocking_on = [&](ProcId peer, auto&& attempt) -> bool {
-      Watch watch = watch_of(peer);
-      Waiter w(wait, &park_gate);
-      while (!attempt()) {
-        beat();
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        if (w.should_tick()) {
-          if (Clock::now() > deadline) {
-            failure.fail("exec::Engine: timeout at P" + std::to_string(wi) +
-                         " (" + program.label + ")");
-            return false;
-          }
-          if (suspect(peer, watch)) return false;
-          w.idle();
-        }
-      }
-      return true;
-    };
-
-    // Busy-stall (injected delay / slow-rank stall) that stays alive to
-    // the failure detector.
-    auto stall = [&](std::uint64_t ns) -> bool {
-      const Clock::time_point until =
-          Clock::now() + std::chrono::nanoseconds(ns);
-      while (Clock::now() < until) {
-        beat();
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        std::this_thread::yield();
-      }
-      return true;
-    };
-
-    // Sender side of acked delivery: drain cumulative acks; once the ack
-    // timeout lapses, retransmit with exponential backoff (max_retries
-    // ramp steps, then a steady max_backoff cadence) until the ack lands
-    // or the heartbeat detector / watchdog ends the wait.
-    auto await_ack = [&](ProcId peer, std::size_t link, const Message& m,
-                         SpscMailbox& mb) -> bool {
-      AckRing& ar = *acks[link];
-      auto drained = [&] {
-        std::uint64_t a = 0;
-        while (ar.try_pop(a)) acked[link] = std::max(acked[link], a);
-        return acked[link] >= m.seq;
-      };
-      Watch watch = watch_of(peer);
-      auto backoff = std::chrono::microseconds(rec.ack_timeout_us);
-      const auto max_backoff = std::chrono::microseconds(rec.max_backoff_us);
-      Clock::time_point next_retx = Clock::now() + backoff;
-      int retries_left = rec.max_retries;
-      Waiter w(wait, &park_gate);
-      while (!drained()) {
-        beat();
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        if (w.should_tick()) {
-          const Clock::time_point now = Clock::now();
-          if (now > deadline) {
-            failure.fail("exec::Engine: ack timeout at P" +
-                         std::to_string(wi) + " (" + program.label + ")");
-            return false;
-          }
-          if (suspect(peer, watch)) return false;
-          if (now >= next_retx) {
-            // Retransmit for as long as the ack is missing: a receiver
-            // that was busy on another link while the exponential ramp
-            // ran out may still drop the queued copies, and a sender
-            // that stops resending would deadlock the pair until the
-            // watchdog.  max_retries bounds the backoff RAMP; past it
-            // the cadence stays at max_backoff until the ack lands, the
-            // peer is declared dead, or the deadline fires.
-            backoffs_ns[p].push_back(static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(backoff)
-                    .count()));
-            // try_push: if the ring is full the original copy is still
-            // queued, so there is nothing to retransmit past.
-            if (mb.try_push(m)) ++retries[p];
-            if (retries_left > 0) {
-              --retries_left;
-              backoff = std::min(backoff * static_cast<std::int64_t>(
-                                               std::max<std::uint64_t>(
-                                                   rec.backoff_factor, 1)),
-                                 max_backoff);
-            }
-            next_retx = now + backoff;
-          }
-          w.idle();
-        }
-      }
-      return true;
-    };
-
-    // kFold seeds the accumulator with the processor's own value (already
-    // copied into report.folded); kSum starts empty.  A typed combiner
-    // takes the fused kernel on every size-matched fold; anything else —
-    // including the first contribution, which is assigned — goes through
-    // the generic lane.  The fold ORDER is the instruction stream either
-    // way, so non-commutative combination_order survives intact.
-    Bytes& acc = report.folded[p];
-    bool acc_have = program.mode == Mode::kFold;
-    std::size_t operand_pos = 0;
-    auto fold = [&](std::span<const std::byte> rhs) {
-      if (!acc_have) {
-        acc.assign(rhs.begin(), rhs.end());
-        acc_have = true;
-        return;
-      }
-      if (kernel != nullptr && acc.size() == rhs.size()) {
-        kernel(acc.data(), rhs.data(), acc.size());
-        ++kernel_folds[p];
-        kernel_bytes[p] += rhs.size();
-      } else {
-        (op->generic())(acc, rhs);
-        ++generic_folds[p];
-      }
-    };
-
-    const bool slow = injector != nullptr && injector->is_slow(rank);
-    if (slow && !stream.instrs.empty()) {
-      report.fault_events[p].push_back(
-          fault::FaultEvent{fault::FaultKind::kSlow, rank, kNoProc, 0});
-    }
-
-    report.events[p].reserve(stream.instrs.size());
-    std::size_t ii = 0;
-    for (const Instr& ins : stream.instrs) {
-      const std::size_t instr_index = ii++;
-      beat();
-      if (injector != nullptr && injector->dies_at(rank, instr_index)) {
-        // Crash-stop: no more sends, receives, acks, or heartbeats.  The
-        // peers' failure detectors take it from here.
-        report.fault_events[p].push_back(fault::FaultEvent{
-            fault::FaultKind::kDead, rank, kNoProc, instr_index});
-        return;
-      }
-      if (slow && !stall(injector->slow_stall_ns())) return;
-
-      switch (ins.op) {
-        case OpCode::kSend: {
-          ExecEvent ev;
-          ev.kind = ExecEvent::Kind::kSend;
-          ev.peer = ins.peer;
-          ev.item = ins.item;
-          ev.planned = ins.when;
-          ev.start_ns = ns_since(start);
-          const std::byte* payload_data;
-          std::size_t payload_size;
-          if (program.mode == Mode::kMove) {
-            const Slot& s = slots[slot_index(p, static_cast<std::size_t>(ins.item))];
-            payload_data = s.data;
-            payload_size = s.size;
-          } else {
-            payload_data = acc.data();
-            payload_size = acc.size();
-          }
-          const auto link = static_cast<std::size_t>(ins.link);
-          SpscMailbox& mb = *mailboxes[link];
-          Message m{ins.item, payload_data, payload_size, 0};
-          if (reliable) {
-            m.seq = ++send_seq[link];
-            const std::uint64_t delay =
-                injector != nullptr
-                    ? injector->send_delay_ns(rank, ins.link, m.seq)
-                    : 0;
-            if (delay > 0) {
-              report.fault_events[p].push_back(fault::FaultEvent{
-                  fault::FaultKind::kDelay, rank, ins.peer, m.seq});
-              if (!stall(delay)) return;
-            }
-            if (!blocking_on(ins.peer, [&] { return mb.try_push(m); })) return;
-            ev.xfer_ns = ns_since(start);
-            if (!await_ack(ins.peer, link, m, mb)) return;
-          } else {
-            if (!blocking([&] { return mb.try_push(m); })) return;
-            ev.xfer_ns = ns_since(start);
-          }
-          ev.end_ns = ns_since(start);
-          bytes_moved[p] += payload_size;
-          report.events[p].push_back(ev);
-          break;
-        }
-        case OpCode::kRecv: {
-          ExecEvent ev;
-          ev.kind = ExecEvent::Kind::kRecv;
-          ev.peer = ins.peer;
-          ev.item = ins.item;
-          ev.planned = ins.when;
-          ev.start_ns = ns_since(start);
-          const auto link = static_cast<std::size_t>(ins.link);
-          SpscMailbox& mb = *mailboxes[link];
-          Message m;
-          if (reliable) {
-            AckRing& ar = *acks[link];
-            const std::uint64_t expect = accepted[link] + 1;
-            for (;;) {
-              if (!blocking_on(ins.peer, [&] { return mb.try_pop(m); })) {
-                return;
-              }
-              if (m.seq < expect) {
-                // A retransmitted copy of a message already accepted:
-                // discard exactly-once, re-ack best-effort so the sender
-                // stops resending.
-                ++duplicates[p];
-                ar.try_push(accepted[link]);
-                continue;
-              }
-              if (m.seq > expect) {
-                failure.fail("exec::Engine: P" + std::to_string(wi) +
-                             " sequence gap on link from P" +
-                             std::to_string(ins.peer) + " (got " +
-                             std::to_string(m.seq) + ", expected " +
-                             std::to_string(expect) + ")");
-                return;
-              }
-              const std::uint64_t attempt = ++attempts[link];
-              if (injector != nullptr &&
-                  injector->drop_delivery(rank, ins.link, m.seq, attempt)) {
-                // Discarded in transit: no ack, so the sender retransmits.
-                report.fault_events[p].push_back(fault::FaultEvent{
-                    fault::FaultKind::kDrop, rank, ins.peer, m.seq});
-                continue;
-              }
-              break;
-            }
-            accepted[link] = m.seq;
-            attempts[link] = 0;
-            if (!blocking_on(ins.peer,
-                             [&] { return ar.try_push(accepted[link]); })) {
-              return;
-            }
-          } else {
-            // Fast lane: drain every message this stream consumes
-            // back-to-back on this link (Instr::chain) in one bulk pop —
-            // one acquire/release round for the whole batch instead of
-            // one per message.  Unchained receives (chain <= 1, e.g.
-            // all-to-all's rotating links) take a plain pop: a
-            // single-message bulk pop adds queue bookkeeping on top of
-            // the same ring round-trip.
-            PendingQ& pq = pending[link];
-            if (pq.head < pq.buf.size()) {
-              m = pq.buf[pq.head++];
-            } else if (ins.chain <= 1) {
-              if (!blocking([&] { return mb.try_pop(m); })) {
-                return;
-              }
-            } else {
-              // Chained receive with nothing pending: block for the head
-              // message exactly like the unchained path (a drip-feeding
-              // pipeline pays nothing over a plain pop), then claim
-              // whatever the producer already queued behind it — up to the
-              // rest of the chain — in one bulk pop.  A burst left while
-              // this worker was descheduled is drained with a single
-              // acquire/release round instead of one per message.
-              if (!blocking([&] { return mb.try_pop(m); })) {
-                return;
-              }
-              pq.buf.clear();
-              pq.head = 0;
-              (void)mb.pop_bulk(pq.buf,
-                                static_cast<std::size_t>(ins.chain) - 1);
-            }
-          }
-          ev.xfer_ns = ns_since(start);
-          if (m.item != ins.item) {
-            failure.fail("exec::Engine: P" + std::to_string(wi) +
-                         " expected item " + std::to_string(ins.item) +
-                         " from P" + std::to_string(ins.peer) + ", got " +
-                         std::to_string(m.item));
-            return;
-          }
-          if (program.mode == Mode::kMove) {
-            const std::size_t si =
-                slot_index(p, static_cast<std::size_t>(m.item));
-            const Slot& slot = slots[si];
-            if (slot.data == nullptr || slot.size != m.size) {
-              failure.fail("exec::Engine: P" + std::to_string(wi) +
-                           " received item " + std::to_string(m.item) +
-                           " with unexpected payload size " +
-                           std::to_string(m.size));
-              return;
-            }
-            if (m.size != 0) std::memcpy(slot.data, m.data, m.size);
-            slot_filled[si] = 1;
-          } else {
-            fold(std::span<const std::byte>(m.data, m.size));
-          }
-          report.deliveries[p].push_back(
-              validate::DeliveryRecord{ins.peer, m.item});
-          ev.end_ns = ns_since(start);
-          report.events[p].push_back(ev);
-          break;
-        }
-        case OpCode::kCombineLocal: {
-          const auto& local =
-              (*operands)[static_cast<std::size_t>(stream.sum_index)];
-          for (std::int32_t c = 0; c < ins.count; ++c) {
-            fold(std::span<const std::byte>(local[operand_pos].data(),
-                                            local[operand_pos].size()));
-            ++operand_pos;
-          }
-          break;
-        }
-      }
-    }
-  };
+  Run run{program,
+          staging,
+          report,
+          ctx_,
+          opts_.wait,
+          opts_.recovery,
+          injector,
+          start,
+          start + std::chrono::milliseconds(opts_.timeout_ms),
+          std::vector<Tally>(P),
+          {},
+          {}};
 
   {
     obs::Span run_span("exec.run", "exec");
@@ -704,6 +732,7 @@ ExecReport Engine::run_impl(const Program& program,
     // parked workers re-check their condition, deadline and heartbeat at a
     // bounded cadence — the watchdog and failure detector stay live even
     // though producers never touch the gate.
+    const WaitPolicy& wait = opts_.wait;
     std::atomic<bool> ticker_stop{false};
     std::thread ticker;
     if (wait.mode == WaitPolicy::Mode::kPark) {
@@ -711,11 +740,15 @@ ExecReport Engine::run_impl(const Program& program,
         while (!ticker_stop.load(std::memory_order_acquire)) {
           std::this_thread::sleep_for(
               std::chrono::microseconds(wait.park_tick_us));
-          park_gate.tick();
+          run.park_gate.tick();
         }
       });
     }
-    pool_.run(static_cast<int>(P), worker);
+    if (reliable) {
+      pool_.run(static_cast<int>(P), [&run](int wi) { worker<Acked>(run, wi); });
+    } else {
+      pool_.run(static_cast<int>(P), [&run](int wi) { worker<Direct>(run, wi); });
+    }
     report.wall_ns = ns_since(start);
     if (ticker.joinable()) {
       ticker_stop.store(true, std::memory_order_release);
@@ -737,11 +770,17 @@ ExecReport Engine::run_impl(const Program& program,
   }
 #endif
 
-  for (const std::size_t r : retries) report.retries += r;
-  for (const std::size_t d : duplicates) report.duplicates += d;
-  for (const std::size_t k : kernel_folds) report.kernel_folds += k;
-  for (const std::size_t g : generic_folds) report.generic_folds += g;
+  std::size_t kernel_bytes = 0;
+  for (const Tally& t : run.tallies) {
+    report.payload_bytes += t.bytes_moved;
+    report.retries += t.retries;
+    report.duplicates += t.duplicates;
+    report.kernel_folds += t.kernel_folds;
+    report.generic_folds += t.generic_folds;
+    kernel_bytes += t.kernel_bytes;
+  }
 
+  Failure& failure = run.failure;
   if (failure.abort.load(std::memory_order_acquire)) {
     // All workers have rejoined the epoch barrier, so nothing is producing
     // or consuming: drain every ring so an aborted run leaves no stale
@@ -749,12 +788,12 @@ ExecReport Engine::run_impl(const Program& program,
     // context re-drains on its next prepare() as well, but a throwing run
     // must not leave the shared rings dirty in between.)
     Message m;
-    for (const auto& mb : mailboxes) {
+    for (const auto& mb : ctx_.mailboxes) {
       while (mb->try_pop(m)) {
       }
     }
     std::uint64_t a = 0;
-    for (const auto& ar : acks) {
+    for (const auto& ar : ctx_.acks) {
       while (ar->try_pop(a)) {
       }
     }
@@ -774,24 +813,7 @@ ExecReport Engine::run_impl(const Program& program,
     throw std::runtime_error(message);
   }
 
-  // Publish the arena-staged kMove slots into the report's user-facing
-  // vectors.  This runs after wall_ns is captured and after the pool
-  // barrier published every worker's writes, so it is single-threaded and
-  // outside the measured makespan.  Segmented runs already delivered in
-  // place (their slots alias the report buffers) and skip it.
-  if (program.mode == Mode::kMove && seg == nullptr) {
-    for (std::size_t p = 0; p < P; ++p) {
-      for (std::size_t i = 0; i < num_items; ++i) {
-        const std::size_t si = slot_index(p, i);
-        if (!slot_filled[si]) continue;
-        const Slot& s = slots[si];
-        report.items[p][i].assign(s.data, s.data + s.size);
-      }
-    }
-  }
-
-  for (const std::size_t b : bytes_moved) report.payload_bytes += b;
-  for (const auto& mb : mailboxes) {
+  for (const auto& mb : ctx_.mailboxes) {
     report.max_mailbox_occupancy =
         std::max(report.max_mailbox_occupancy, mb->max_occupancy());
   }
@@ -819,6 +841,7 @@ ExecReport Engine::run_impl(const Program& program,
                     : "runs that spawned worker threads on the request path",
                 labels)
         .inc();
+    const Combiner* op = staging.op;
     if (op != nullptr && op->typed()) {
       const std::string klabels = "op=\"" + std::string(op_name(op->spec().op)) +
                                   "\",dtype=\"" +
@@ -827,11 +850,9 @@ ExecReport Engine::run_impl(const Program& program,
         reg.counter("logpc_exec_kernel_folds_total",
                     "folds executed by typed SIMD combine kernels", klabels)
             .inc(report.kernel_folds);
-        std::size_t kb = 0;
-        for (const std::size_t b : kernel_bytes) kb += b;
         reg.counter("logpc_exec_kernel_fold_bytes_total",
                     "payload bytes folded by typed combine kernels", klabels)
-            .inc(kb);
+            .inc(kernel_bytes);
       }
       if (report.generic_folds > 0) {
         reg.counter("logpc_exec_kernel_fallback_folds_total",
@@ -869,8 +890,8 @@ ExecReport Engine::run_impl(const Program& program,
       auto& backoff_hist = reg.histogram(
           "logpc_fault_backoff_ns", obs::default_latency_buckets_ns(),
           "retransmit backoff lapsed before each retry");
-      for (const auto& per_worker : backoffs_ns) {
-        for (const double b : per_worker) backoff_hist.observe(b);
+      for (const Tally& t : run.tallies) {
+        for (const double b : t.backoffs_ns) backoff_hist.observe(b);
       }
     }
   }

@@ -22,14 +22,22 @@
 /// payload bytes through one bounded lock-free mailbox per directed link.
 ///
 /// An Engine is two halves: a *persistent worker-pool resource* (the
-/// ThreadPool plus a warm RunContext of mailboxes, ack rings and arena
-/// chunks, kept alive across runs) and a *cheap per-run execution
-/// context* (RunContext::prepare rewinds rather than rebuilds when
-/// consecutive runs share a shape).  Back-to-back runs on one engine
-/// therefore pay neither thread spawn/join nor per-link allocation —
-/// ExecReport::warm_pool / warm_buffers record which path a run took, and
-/// svc::CollectiveService keeps a small set of such engines as its
-/// persistent pools.
+/// ThreadPool plus a warm RunContext of mailboxes, ack rings and drain
+/// queues, kept alive across runs) and a *cheap per-run execution context*
+/// (RunContext::prepare rewinds rather than rebuilds when consecutive runs
+/// share a shape).  Back-to-back runs on one engine therefore pay neither
+/// thread spawn/join nor per-link allocation — ExecReport::warm_pool /
+/// warm_buffers record which path a run took, and svc::CollectiveService
+/// keeps a small set of such engines as its persistent pools.
+///
+/// A run is three pieces.  *Staging*: each public run() validates its
+/// inputs and lays out where the payload lives — kMove sizes every result
+/// buffer the plan touches inside ExecReport::items before the workers
+/// start, so deliveries memcpy straight into place; kFold/kSum fold into
+/// ExecReport::folded.  *One worker loop* runs each processor's send,
+/// receive and combine-local instructions against that staging.  *Two
+/// deliveries* move the messages: the fault-free one pushes and pops (or
+/// bulk-drains a receive chain), the acked one below adds the protocol.
 ///
 /// Execution is as-fast-as-possible: planned cycles order each stream but
 /// never pace it.  The model's constraints survive as *structure* — the
@@ -47,17 +55,23 @@
 /// Fault tolerance: pass a fault::Injector to run() (or enable
 /// Options::recovery) and the engine switches every link to *acked
 /// delivery*: messages carry per-link sequence numbers, receivers
-/// acknowledge acceptance on a reverse ring, senders retransmit after a
-/// timeout with exponential backoff, and receivers discard retransmitted
-/// duplicates exactly-once.  A rank whose heartbeat freezes while a peer
-/// waits on it past the retry budget is declared dead: the run aborts with
-/// RankFailure naming the rank, all workers are signalled, joined at the
-/// epoch barrier, and every mailbox is drained before the error returns —
-/// api::Communicator::run_broadcast_ft catches it and re-plans over the
-/// survivors.  Without an injector and with recovery disabled, the fast
-/// path is byte-identical to the unreliable engine.
+/// acknowledge acceptance on a reverse ring, and receivers discard
+/// retransmitted duplicates exactly-once.  Acks are asynchronous: a send
+/// records its message as unacked and moves on, and the sender services
+/// its unacked messages — draining acks, retransmitting after a timeout
+/// with exponential backoff — in every wait it makes and before its worker
+/// returns, so ranks that send to each other before receiving cannot
+/// deadlock.  A rank whose heartbeat freezes while a peer waits on it is
+/// declared dead: the run aborts with RankFailure naming the rank, all
+/// workers are signalled, joined at the epoch barrier, and every mailbox is
+/// drained before the error returns — api::Communicator::run_broadcast_ft
+/// catches it and re-plans over the survivors.  Without an injector and
+/// with recovery disabled, the fault-free delivery runs and none of this
+/// protocol is compiled into its loop.
 
 namespace logpc::exec {
+
+struct Staging;  // a run's payload layout, private to engine.cpp
 
 // Bytes, CombineFn and the typed-kernel Combiner live in exec/kernels.hpp;
 // this header re-exports them through its include for source compatibility.
@@ -105,7 +119,6 @@ struct ExecReport {
   std::size_t duplicates = 0;  ///< retransmitted copies discarded exactly-once
   std::size_t kernel_folds = 0;   ///< folds taken by the typed SIMD kernel
   std::size_t generic_folds = 0;  ///< folds through the type-erased lane
-  std::size_t arena_bytes = 0;    ///< payload staging carved from the arena
   /// True when the run dispatched onto already-resident worker threads: no
   /// OS thread was spawned on the request path.  A fresh engine's first
   /// run (or the first run after a growth in P) is a cold start; every
@@ -114,8 +127,9 @@ struct ExecReport {
   /// assert this stays true under sustained traffic.
   bool warm_pool = false;
   /// True when the run reused the engine's RunContext warm: same shape as
-  /// the previous run, so mailboxes, ack rings, drain queues, heartbeat
-  /// slots and arena chunks were recycled with zero allocation.
+  /// the previous run, so mailboxes, ack rings, drain queues and heartbeat
+  /// slots were recycled with zero allocation.  (Result buffers are the
+  /// report's own and are allocated per run.)
   bool warm_buffers = false;
   /// Per-processor event logs, in stream order.  Guarantee (asserted after
   /// every run): `events[p]` is non-decreasing in start_ns — in fact each
@@ -152,8 +166,7 @@ struct ExecReport {
 /// contiguous per-processor result buffer: ExecReport::items[p] holds a
 /// single Bytes equal to the whole payload — byte-identical to what a
 /// bulk single-item run of the same payload would report — instead of k
-/// per-segment buffers.  That removes both the caller's split/concat
-/// copies and the engine's post-run arena-to-report publication pass, so
+/// per-segment buffers.  That removes the caller's split/concat copies, so
 /// a segmented run pays no more serial memcpy than a bulk one.
 struct SegmentRun {
   std::span<const std::byte> payload;
@@ -254,12 +267,10 @@ class Engine {
   [[nodiscard]] ThreadPool& pool() { return pool_; }
 
  private:
-  ExecReport run_impl(const Program& program,
-                      const std::vector<Bytes>* item_values,
-                      const SegmentRun* seg,
-                      const std::vector<Bytes>* fold_values,
-                      const std::vector<std::vector<Bytes>>* operands,
-                      const Combiner* op, const fault::Injector* injector);
+  /// Runs `program` against `staging` (built by the public run() that
+  /// validated its inputs) and fills in `report`.
+  ExecReport execute(const Program& program, ExecReport report,
+                     const Staging& staging, const fault::Injector* injector);
 
   Options opts_;
   ThreadPool pool_;

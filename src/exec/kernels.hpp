@@ -30,8 +30,9 @@
 /// mismatch) and the baseline `bench_kernels` reports speedups against.
 /// Kernels never require aligned pointers: misaligned operands take a
 /// scalar memcpy lane, so arbitrary byte offsets stay UB-free under
-/// UBSan; the engine's BufferArena hands out 64-byte-aligned buffers, so
-/// in practice the vector lane always runs.
+/// UBSan; the engine's accumulators and fold operands are heap `Bytes`,
+/// which operator new aligns for every dtype, so in practice the aligned
+/// lane always runs.
 ///
 /// Order preservation: kernels change how one fold step executes, never
 /// which fold steps run or in what order — the compiled instruction

@@ -176,7 +176,6 @@ exec::ExecReport member_report(const exec::ExecReport& run, OpKind op,
   r.duplicates = run.duplicates;
   r.kernel_folds = run.kernel_folds;
   r.generic_folds = run.generic_folds;
-  r.arena_bytes = run.arena_bytes;
   r.warm_pool = run.warm_pool;
   r.warm_buffers = run.warm_buffers;
   // Both result containers are mirrored whatever the op, so a fused

@@ -1,6 +1,7 @@
 #include "bcast/kitem_buffered.hpp"
 
 #include <cstdint>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -10,14 +11,17 @@
 namespace logpc::bcast {
 namespace {
 
-// 64-bit fields leave the struct without padding. gtest names each case
-// by a byte dump of the parameter, and uninitialised padding bytes would
-// make the names differ from process to process.
 struct Instance {
   std::int64_t P;
   Time L;
   std::int64_t k;
 };
+
+/// Names the case in test listings, e.g. "P=4 L=1 k=4" (the default is a
+/// byte dump of the struct).
+void PrintTo(const Instance& i, std::ostream* os) {
+  *os << "P=" << i.P << " L=" << i.L << " k=" << i.k;
+}
 
 class BufferedSweep : public ::testing::TestWithParam<Instance> {};
 

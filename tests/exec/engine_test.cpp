@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -455,6 +456,198 @@ TEST(Engine, SharedEngineServesConcurrentCallersSafely) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Delivery equivalence: the fault-free delivery, acked delivery
+// (Recovery::enabled) and acked delivery under seeded drops drive one
+// worker loop over one staging, so each run must report byte-identical
+// items, accumulators and delivery order through all three.  The drop seed
+// comes from LOGPC_FAULT_SEED (default 1), as in the fault suite.  Every
+// machine has P <= 4 so the ranks do not oversubscribe a 4-core host.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fault_seed() {
+  const char* s = std::getenv("LOGPC_FAULT_SEED");
+  return (s != nullptr && *s != '\0') ? std::strtoull(s, nullptr, 10) : 1;
+}
+
+Engine::Options acked_options() {
+  Engine::Options opts;
+  opts.recovery.enabled = true;
+  opts.timeout_ms = 5000;
+  return opts;
+}
+
+/// Runs `go(engine, injector)` through each delivery and expects the
+/// acked and lossy reports to equal the fault-free one; returns that one.
+template <class Go>
+ExecReport expect_deliveries_agree(Go&& go) {
+  Engine direct;
+  Engine acked(acked_options());
+  Engine lossy(acked_options());
+  fault::FaultSpec spec;
+  spec.seed = fault_seed();
+  spec.drop_prob = 0.3;
+  const fault::Injector drops(spec);
+
+  ExecReport ref = go(direct, nullptr);
+  const ExecReport acked_run = go(acked, nullptr);
+  const ExecReport lossy_run = go(lossy, &drops);
+  for (const ExecReport* run : {&acked_run, &lossy_run}) {
+    const char* name = run == &acked_run ? "acked" : "acked with drops";
+    EXPECT_EQ(run->items, ref.items) << name;
+    EXPECT_EQ(run->folded, ref.folded) << name;
+    EXPECT_EQ(run->deliveries, ref.deliveries) << name;
+  }
+  return ref;
+}
+
+struct NamedProgram {
+  std::string name;
+  Program prog;
+};
+
+/// The kMove plans under test: allgather, k-item and the broadcast tree.
+std::vector<NamedProgram> move_programs() {
+  std::vector<NamedProgram> out;
+  for (const Params& params : {Params{4, 4, 1, 2}, Params{3, 3, 1, 2}}) {
+    const std::string at = " " + params.to_string();
+    out.push_back({"allgather" + at,
+                   compile(Planner::build_uncached(PlanKey::alltoall(params)))});
+    for (const int k : {2, 4}) {
+      out.push_back(
+          {"k-item k=" + std::to_string(k) + at,
+           compile(Planner::build_uncached(PlanKey::kitem(params, k)))});
+    }
+    out.push_back({"tree" + at, compile(Planner::build_uncached(
+                                    PlanKey::broadcast(params)))});
+  }
+  return out;
+}
+
+TEST(DeliveryEquivalence, MoveRunWithMixedSizesAgrees) {
+  for (const NamedProgram& np : move_programs()) {
+    SCOPED_TRACE(np.name);
+    // Sizes 0, 37, 13, 50, ... bytes: item 0 is empty.
+    std::vector<Bytes> items;
+    for (int i = 0; i < np.prog.num_items; ++i) {
+      Bytes b(static_cast<std::size_t>(i * 37 % 61));
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        b[j] = static_cast<std::byte>(i * 7 + static_cast<int>(j));
+      }
+      items.push_back(std::move(b));
+    }
+    const ExecReport ref =
+        expect_deliveries_agree([&](Engine& e, const fault::Injector* inj) {
+          return e.run(np.prog, items, inj);
+        });
+    EXPECT_EQ(ref.deliveries, np.prog.expected_deliveries());
+    for (const auto& held : ref.items) {
+      for (std::size_t i = 0; i < held.size(); ++i) {
+        if (!held[i].empty()) {
+          EXPECT_EQ(held[i], items[i]) << "item " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DeliveryEquivalence, SegmentedRunWithUnevenSplitAgrees) {
+  Bytes payload(1003);  // divides by none of k = 2, 3, 4
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  for (const NamedProgram& np : move_programs()) {
+    SCOPED_TRACE(np.name);
+    const SegmentRun seg{std::span<const std::byte>(payload),
+                         np.prog.num_items};
+    const ExecReport ref =
+        expect_deliveries_agree([&](Engine& e, const fault::Injector* inj) {
+          return e.run_segmented(np.prog, seg, inj);
+        });
+    for (const auto& held : ref.items) {
+      ASSERT_EQ(held.size(), 1u);
+      EXPECT_EQ(held[0], payload);
+    }
+  }
+}
+
+TEST(DeliveryEquivalence, FoldRunAgrees) {
+  for (const Params& params : {Params{4, 4, 1, 2}, Params{3, 3, 1, 2}}) {
+    SCOPED_TRACE(params.to_string());
+    const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
+    const Program prog = compile_reduction(plan);
+    std::vector<Bytes> values;
+    std::vector<std::string> strings;
+    for (int p = 0; p < params.P; ++p) {
+      strings.push_back("<" + std::to_string(p) + ">");
+      values.push_back(tu::of_str(strings.back()));
+    }
+    const ExecReport ref =
+        expect_deliveries_agree([&](Engine& e, const fault::Injector* inj) {
+          return e.run(prog, values, tu::concat(), inj);
+        });
+    EXPECT_EQ(tu::to_str(ref.folded_at(0)),
+              bcast::execute_reduction<std::string>(
+                  plan, strings, [](const std::string& a,
+                                    const std::string& b) { return a + b; }));
+  }
+}
+
+TEST(DeliveryEquivalence, NonCommutativeSumRunAgrees) {
+  for (const Params& params : {Params{4, 4, 1, 2}, Params{3, 3, 1, 2}}) {
+    SCOPED_TRACE(params.to_string());
+    const sum::SummationPlan plan = sum::optimal_summation(params, 20);
+    ASSERT_GT(plan.total_operands, 0u);
+    const Program prog = compile_summation(plan);
+    const auto layout = sum::operand_layout(plan);
+    std::vector<std::vector<Bytes>> operands(layout.size());
+    std::size_t total_bytes = 0;
+    int next = 0;
+    for (std::size_t i = 0; i < layout.size(); ++i) {
+      for (std::size_t j = 0; j < layout[i].total(); ++j) {
+        operands[i].push_back(tu::of_str("[" + std::to_string(next++) + "]"));
+        total_bytes += operands[i].back().size();
+      }
+    }
+    const ExecReport ref =
+        expect_deliveries_agree([&](Engine& e, const fault::Injector* inj) {
+          return e.run(prog, operands, tu::concat(), inj);
+        });
+    EXPECT_EQ(ref.folded_at(plan.root).size(), total_bytes);
+  }
+}
+
+TEST(DeliveryEquivalence, DeadRankStillRaisesRankFailureNamingIt) {
+  // Asynchronous acks must not hide a crash: every rank waiting on the
+  // dead one — for a message or for an ack — accuses it.  The victim is
+  // the first non-root rank with two instructions, killed after its first
+  // (a flat tree has none: its rank 1 dies before receiving).
+  for (const NamedProgram& np : move_programs()) {
+    SCOPED_TRACE(np.name);
+    fault::FaultSpec spec;
+    spec.seed = fault_seed();
+    spec.drop_prob = 0.3;
+    spec.dead_rank = 1;
+    for (std::size_t p = 1; p < np.prog.procs.size(); ++p) {
+      if (np.prog.procs[p].instrs.size() >= 2) {
+        spec.dead_rank = static_cast<ProcId>(p);
+        spec.dead_after_instrs = 1;
+        break;
+      }
+    }
+    const fault::Injector inj(spec);
+    Engine engine(acked_options());
+    const std::vector<Bytes> items(static_cast<std::size_t>(np.prog.num_items),
+                                   tu::of_str("x"));
+    try {
+      (void)engine.run(np.prog, items, &inj);
+      FAIL() << "expected exec::RankFailure";
+    } catch (const RankFailure& failure) {
+      EXPECT_EQ(failure.rank(), spec.dead_rank);
+    }
+  }
 }
 
 }  // namespace
