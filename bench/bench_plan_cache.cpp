@@ -227,6 +227,36 @@ void report() {
     if (top_speedup < 100.0) gate_ok = false;
   }
 
+  // ---- materialized build latency per implicit family (P = 2^16) -------
+  // Every family's materialized schedule comes from its decoder's
+  // to_schedule(); one row each, so a decoder slowdown in any family shows.
+  logpc::bench::section(
+      "materialized plan-build latency per implicit family (P = 2^16)");
+  {
+    Table grid({"family", "materialized ms (median of 5)"});
+    for (const runtime::Problem problem :
+         {runtime::Problem::kBroadcast, runtime::Problem::kReduce,
+          runtime::Problem::kBinomialBroadcast,
+          runtime::Problem::kBinaryBroadcast,
+          runtime::Problem::kChainBroadcast}) {
+      const PlanKey key = PlanKey::make(problem, Params{1 << 16, 4, 1, 2});
+      std::vector<double> secs;
+      for (int r = 0; r < 5; ++r) {
+        const auto s0 = Clock::now();
+        benchmark::DoNotOptimize(Planner::build_uncached(key));
+        secs.push_back(seconds_since(s0));
+      }
+      std::sort(secs.begin(), secs.end());
+      const double median_ms = secs[secs.size() / 2] * 1e3;
+      const std::string family(runtime::problem_name(problem));
+      grid.row(family, median_ms);
+      json.entry("implicit_family_build",
+                 {{"family", family}, {"P", std::to_string(1 << 16)}},
+                 {{"materialized_build_ms", median_ms}});
+    }
+    grid.print();
+  }
+
   // ---- million-rank smoke: plan, simulate, query ------------------------
   logpc::bench::section("million-rank planning smoke (P = 1,000,000)");
   {

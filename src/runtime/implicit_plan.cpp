@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "bcast/tree.hpp"
-
 namespace logpc::runtime {
 
 namespace {
@@ -47,22 +45,36 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
   plan.g_ = key.params.g;
   switch (key.problem) {
     case Problem::kReduce:
-      plan.reverse_ = true;
-      [[fallthrough]];
     case Problem::kBroadcast:
+      plan.reverse_ = key.problem == Problem::kReduce;
       plan.family_ = Family::kOptimal;
+      plan.method_ = plan.reverse_ ? "reversed optimal tree (Sec 4.2)"
+                                   : "optimal tree (Thm 2.1)";
       plan.build_optimal_tables();
       break;
     case Problem::kBinomialBroadcast:
       plan.family_ = Family::kBinomial;
+      plan.method_ = "binomial tree";
       plan.build_binomial_tables();
       break;
-    case Problem::kBinaryBroadcast:
+    case Problem::kBinaryBroadcast: {
       plan.family_ = Family::kBinary;
-      plan.completion_ = plan.binary_subtree_max_label(0);
+      plan.method_ = "binary tree";
+      // A heap node at depth d, offset j in its level, has label
+      // d*T + popcount(j)*g.  Levels above the last, D, are full (best:
+      // all right, (D-1)(T+g)); the last holds offsets 0..m.
+      const auto P = static_cast<std::uint64_t>(plan.P_);
+      const Time D = std::bit_width(P) - 1;
+      const std::uint64_t m = P - (std::uint64_t{1} << D);
+      const Time right =
+          std::max<Time>(std::popcount(m), std::bit_width(m) - 1);
+      plan.completion_ = std::max(D * plan.T_ + right * plan.g_,
+                                  (D - 1) * (plan.T_ + plan.g_));
       break;
+    }
     case Problem::kChainBroadcast:
       plan.family_ = Family::kChain;
+      plan.method_ = "linear chain";
       plan.completion_ = static_cast<Time>(plan.P_ - 1) * plan.T_;
       break;
     default:
@@ -143,73 +155,38 @@ ImplicitPlan::OptParent ImplicitPlan::optimal_parent(std::int64_t node) const {
 // desc_ (depth-k descendant counts per reachable size) stays O(log^2 P)
 // and index <-> path conversion is combinatorial counting over it.
 
-std::vector<int> ImplicitPlan::binomial_child_sizes(int size) {
-  std::vector<int> out;
-  int rest = size;
-  while (rest > 1) {
-    const int half = rest / 2;
-    out.push_back(half);
-    rest -= half;
-  }
-  return out;
-}
-
 std::int64_t ImplicitPlan::binomial_descendants(int size, int depth) const {
-  const auto& counts = desc_.at(size);
+  const auto& counts = desc_.at(size).counts;
   if (depth < 0 || depth >= static_cast<int>(counts.size())) return 0;
   return counts[static_cast<std::size_t>(depth)];
 }
 
+const ImplicitPlan::BinomialSubtree& ImplicitPlan::binomial_subtree(int size) {
+  if (const auto it = desc_.find(size); it != desc_.end()) return it->second;
+  BinomialSubtree sub;
+  sub.counts.push_back(1);  // depth 0: the node itself
+  for (int j = 0; j < binomial_num_children(size); ++j) {
+    // unordered_map references survive the insertions below.
+    const BinomialSubtree& child =
+        binomial_subtree(binomial_child_size(size, j));
+    sub.counts.resize(std::max(sub.counts.size(), child.counts.size() + 1), 0);
+    for (std::size_t k = 0; k < child.counts.size(); ++k) {
+      sub.counts[k + 1] += child.counts[k];
+    }
+    sub.max_label = std::max(
+        sub.max_label, T_ + static_cast<Time>(j) * g_ + child.max_label);
+  }
+  return desc_.emplace(size, std::move(sub)).first->second;
+}
+
 void ImplicitPlan::build_binomial_tables() {
-  const auto P = static_cast<int>(P_);
-  // Reachable subtree sizes, smallest first so children resolve before
-  // their parents in the per-depth sweeps below.
-  std::vector<int> pending{P};
-  while (!pending.empty()) {
-    const int s = pending.back();
-    pending.pop_back();
-    if (desc_.find(s) != desc_.end()) continue;
-    desc_.emplace(s, std::vector<std::int64_t>{});
-    for (const int c : binomial_child_sizes(s)) {
-      if (desc_.find(c) == desc_.end()) pending.push_back(c);
-    }
-  }
-  std::vector<int> sizes;
-  sizes.reserve(desc_.size());
-  for (const auto& [s, counts] : desc_) sizes.push_back(s);
-  std::sort(sizes.begin(), sizes.end());
-
-  for (const int s : sizes) desc_[s].push_back(1);  // depth 0: the node
-  max_depth_ = 0;
-  for (int k = 1;; ++k) {
-    for (const int s : sizes) {
-      std::int64_t total = 0;
-      for (const int c : binomial_child_sizes(s)) {
-        total += binomial_descendants(c, k - 1);
-      }
-      desc_[s].push_back(total);
-    }
-    if (binomial_descendants(P, k) == 0) break;
-    max_depth_ = k;
-  }
-
+  const BinomialSubtree& root = binomial_subtree(static_cast<int>(P_));
+  completion_ = root.max_label;
   level_start_.assign(1, 0);
-  for (int d = 0; d <= max_depth_; ++d) {
-    level_start_.push_back(level_start_.back() + binomial_descendants(P, d));
+  for (const std::int64_t count : root.counts) {
+    level_start_.push_back(level_start_.back() + count);
   }
   if (level_start_.back() != P_) fail("binomial level counts do not sum to P");
-
-  // Completion = max label, by the same size-collapsed DP.
-  std::unordered_map<int, Time> max_label;
-  for (const int s : sizes) {
-    Time m = 0;
-    const std::vector<int> cs = binomial_child_sizes(s);
-    for (std::size_t j = 0; j < cs.size(); ++j) {
-      m = std::max(m, T_ + static_cast<Time>(j) * g_ + max_label[cs[j]]);
-    }
-    max_label[s] = m;
-  }
-  completion_ = max_label[P];
 }
 
 ImplicitPlan::BinomialPath ImplicitPlan::binomial_decode(
@@ -220,21 +197,17 @@ ImplicitPlan::BinomialPath ImplicitPlan::binomial_decode(
   std::int64_t offset = node - level_start_[static_cast<std::size_t>(depth)];
   BinomialPath path;
   path.depth = depth;
-  path.ranks.reserve(static_cast<std::size_t>(depth));
-  path.sizes.reserve(static_cast<std::size_t>(depth));
-  int size = static_cast<int>(P_);
+  path.size = static_cast<int>(P_);
   for (int e = 0; e < depth; ++e) {
-    const std::vector<int> cs = binomial_child_sizes(size);
     int j = 0;
     for (;; ++j) {
-      const std::int64_t under = binomial_descendants(cs[static_cast<std::size_t>(j)],
-                                                      depth - 1 - e);
+      const std::int64_t under = binomial_descendants(
+          binomial_child_size(path.size, j), depth - 1 - e);
       if (offset < under) break;
       offset -= under;
     }
-    path.ranks.push_back(j);
-    size = cs[static_cast<std::size_t>(j)];
-    path.sizes.push_back(size);
+    path.ranks[static_cast<std::size_t>(e)] = j;
+    path.size = binomial_child_size(path.size, j);
   }
   return path;
 }
@@ -246,39 +219,14 @@ std::int64_t ImplicitPlan::binomial_index(const BinomialPath& path,
   std::int64_t within = 0;
   int size = static_cast<int>(P_);
   for (int e = 0; e < depth; ++e) {
-    const std::vector<int> cs = binomial_child_sizes(size);
     const int je = path.ranks[static_cast<std::size_t>(e)];
     for (int j = 0; j < je; ++j) {
-      within +=
-          binomial_descendants(cs[static_cast<std::size_t>(j)], depth - 1 - e);
+      within += binomial_descendants(binomial_child_size(size, j),
+                                     depth - 1 - e);
     }
-    size = cs[static_cast<std::size_t>(je)];
+    size = binomial_child_size(size, je);
   }
   return level_start_[static_cast<std::size_t>(depth)] + within;
-}
-
-// ---- binary tree --------------------------------------------------------
-
-Time ImplicitPlan::binary_subtree_max_label(std::int64_t node) const {
-  if (2 * node + 1 >= P_) return 0;
-  // Height h: the deepest level whose leftmost descendant exists.
-  int h = 0;
-  std::int64_t leftmost = node;
-  while (2 * leftmost + 1 < P_) {
-    leftmost = 2 * leftmost + 1;
-    ++h;
-  }
-  // Perfect subtree: the all-right path (T + g per level) is the maximum.
-  std::int64_t rightmost = node;
-  for (int k = 0; k < h; ++k) rightmost = 2 * rightmost + 2;
-  if (rightmost < P_) return static_cast<Time>(h) * (T_ + g_);
-  // A heap's incomplete frontier is a single path, so at most one child
-  // recurses past its own perfect check: O(log^2 P) total.
-  Time best = binary_subtree_max_label(2 * node + 1);
-  if (2 * node + 2 < P_) {
-    best = std::max(best, g_ + binary_subtree_max_label(2 * node + 2));
-  }
-  return T_ + best;
 }
 
 // ---- node-space queries -------------------------------------------------
@@ -291,7 +239,10 @@ Time ImplicitPlan::label(std::int64_t node) const {
     case Family::kBinomial: {
       const BinomialPath path = binomial_decode(node);
       Time lab = 0;
-      for (const int r : path.ranks) lab += T_ + static_cast<Time>(r) * g_;
+      for (int e = 0; e < path.depth; ++e) {
+        const int rank = path.ranks[static_cast<std::size_t>(e)];
+        lab += T_ + static_cast<Time>(rank) * g_;
+      }
       return lab;
     }
     case Family::kBinary: {
@@ -331,8 +282,10 @@ int ImplicitPlan::child_rank(std::int64_t node) const {
   switch (family_) {
     case Family::kOptimal:
       return optimal_parent(node).rank;
-    case Family::kBinomial:
-      return binomial_decode(node).ranks.back();
+    case Family::kBinomial: {
+      const BinomialPath path = binomial_decode(node);
+      return path.ranks[static_cast<std::size_t>(path.depth - 1)];
+    }
     case Family::kBinary:
       return static_cast<int>((node - 1) % 2);
     case Family::kChain:
@@ -358,11 +311,8 @@ std::int64_t ImplicitPlan::child(std::int64_t node, int rank) const {
     }
     case Family::kBinomial: {
       BinomialPath path = binomial_decode(node);
-      const int size = path.depth == 0 ? static_cast<int>(P_)
-                                       : path.sizes.back();
-      const std::vector<int> cs = binomial_child_sizes(size);
-      if (rank >= static_cast<int>(cs.size())) return -1;
-      path.ranks.push_back(rank);
+      if (rank >= binomial_num_children(path.size)) return -1;
+      path.ranks[static_cast<std::size_t>(path.depth)] = rank;
       return binomial_index(path, path.depth + 1);
     }
     case Family::kBinary: {
@@ -385,12 +335,8 @@ int ImplicitPlan::num_children(std::int64_t node) const {
       while (child(node, n) >= 0) ++n;
       return n;
     }
-    case Family::kBinomial: {
-      const BinomialPath path = binomial_decode(node);
-      const int size = path.depth == 0 ? static_cast<int>(P_)
-                                       : path.sizes.back();
-      return static_cast<int>(binomial_child_sizes(size).size());
-    }
+    case Family::kBinomial:
+      return binomial_num_children(binomial_decode(node).size);
     case Family::kBinary: {
       if (2 * node + 2 < P_) return 2;
       return 2 * node + 1 < P_ ? 1 : 0;
@@ -399,14 +345,6 @@ int ImplicitPlan::num_children(std::int64_t node) const {
       return node + 1 < P_ ? 1 : 0;
   }
   return 0;  // unreachable
-}
-
-std::vector<std::int64_t> ImplicitPlan::children(std::int64_t node) const {
-  const int n = num_children(node);
-  std::vector<std::int64_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(child(node, i));
-  return out;
 }
 
 // ---- proc mapping and per-rank generation -------------------------------
@@ -440,16 +378,16 @@ RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
   rs.parent_node = parent(rs.node);
   rs.child_rank = child_rank(rs.node);
   if (rs.parent_node >= 0) rs.parent = proc_of_node(rs.parent_node);
-  const std::vector<std::int64_t> kids = children(rs.node);
+  const int kids = num_children(rs.node);
   if (!reverse_) {
     rs.informed_at = lab;
     if (rs.parent_node >= 0) {
       // The parent starts this send at its own label + rank*g == lab - T.
       rs.recvs.push_back(SendOp{lab - T_, rs.parent, proc, 0});
     }
-    for (std::size_t i = 0; i < kids.size(); ++i) {
+    for (int i = 0; i < kids; ++i) {
       rs.sends.push_back(SendOp{lab + static_cast<Time>(i) * g_, proc,
-                                proc_of_node(kids[i]), 0});
+                                proc_of_node(child(rs.node, i)), 0});
     }
   } else {
     // Reversal (Section 4.2): the broadcast send parent->child at tau
@@ -457,10 +395,10 @@ RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
     // ascending arrival time, and every receive precedes this node's send.
     const Time B = completion_;
     rs.informed_at = B - lab;
-    for (std::size_t i = kids.size(); i-- > 0;) {
+    for (int i = kids; i-- > 0;) {
       const Time child_label = lab + T_ + static_cast<Time>(i) * g_;
       rs.recvs.push_back(
-          SendOp{B - child_label, proc_of_node(kids[i]), proc, 0});
+          SendOp{B - child_label, proc_of_node(child(rs.node, i)), proc, 0});
     }
     if (rs.parent_node >= 0) {
       rs.sends.push_back(SendOp{B - lab, proc, rs.parent, 0});
@@ -469,23 +407,75 @@ RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
   return rs;
 }
 
+// ---- whole-tree materialization ------------------------------------------
+//
+// One top-down pass in node-index order; no node is decoded from scratch.
+// Optimal: labels never decrease with the index, and child() is a closed
+// form given the label.  Binomial, binary and chain trees are numbered
+// breadth-first, so a node's children take the next free indices in rank
+// order and inherit their label (and binomial subtree size) from it.
+
+template <class Visit>
+void ImplicitPlan::for_each_edge(Visit&& visit) const {
+  if (family_ == Family::kOptimal) {
+    for (std::int64_t n = 0; n < P_; ++n) {
+      const Time lab = label_of_index(n);
+      for (int rank = 0;; ++rank) {
+        const std::int64_t c = child(n, rank);
+        if (c < 0) break;
+        visit(n, lab, c, rank);
+      }
+    }
+    return;
+  }
+  std::vector<Time> labels(static_cast<std::size_t>(P_), 0);
+  std::vector<int> sizes(static_cast<std::size_t>(P_), 0);  // binomial only
+  sizes[0] = static_cast<int>(P_);
+  std::int64_t next = 1;
+  for (std::int64_t n = 0; next < P_; ++n) {
+    const auto at = static_cast<std::size_t>(n);
+    int fanout = family_ == Family::kBinary ? 2 : 1;
+    if (family_ == Family::kBinomial) {
+      fanout = binomial_num_children(sizes[at]);
+    }
+    for (int rank = 0; rank < fanout && next < P_; ++rank, ++next) {
+      const auto c = static_cast<std::size_t>(next);
+      labels[c] = labels[at] + T_ + static_cast<Time>(rank) * g_;
+      sizes[c] = binomial_child_size(sizes[at], rank);
+      visit(n, labels[at], next, rank);
+    }
+  }
+}
+
 Schedule ImplicitPlan::to_schedule() const {
   Schedule out(key_.params, 1);
   if (!reverse_) {
     out.add_initial(0, key_.root, 0);
-    for (std::int64_t n = 1; n < P_; ++n) {
-      out.add_send(label(n) - T_, proc_of_node(parent(n)), proc_of_node(n),
-                   0);
-    }
   } else {
     for (ProcId p = 0; p < key_.params.P; ++p) out.add_initial(0, p, 0);
-    for (std::int64_t n = 1; n < P_; ++n) {
-      out.add_send(completion_ - label(n), proc_of_node(n),
-                   proc_of_node(parent(n)), 0);
-    }
   }
+  for_each_edge([&](std::int64_t parent, Time parent_label,
+                    std::int64_t child, int rank) {
+    const Time start = parent_label + static_cast<Time>(rank) * g_;
+    const ProcId from = proc_of_node(parent);
+    const ProcId to = proc_of_node(child);
+    if (!reverse_) {
+      out.add_send(start, from, to, 0);
+    } else {
+      // Section 4.2: the child's value departs at B - label(child).
+      out.add_send(completion_ - (start + T_), to, from, 0);
+    }
+  });
   out.sort();
   return out;
+}
+
+bcast::BroadcastTree ImplicitPlan::to_tree() const {
+  std::vector<int> parents(static_cast<std::size_t>(P_), -1);
+  for_each_edge([&](std::int64_t parent, Time, std::int64_t child, int) {
+    parents[static_cast<std::size_t>(child)] = static_cast<int>(parent);
+  });
+  return bcast::BroadcastTree::from_parents(key_.params, parents);
 }
 
 std::size_t ImplicitPlan::memory_bytes() const {
@@ -493,9 +483,9 @@ std::size_t ImplicitPlan::memory_bytes() const {
   bytes += cum_.capacity() * sizeof(Count);
   bytes += strided_.capacity() * sizeof(Count);
   bytes += level_start_.capacity() * sizeof(std::int64_t);
-  for (const auto& [size, counts] : desc_) {
-    bytes += sizeof(size) + sizeof(counts) +
-             counts.capacity() * sizeof(std::int64_t);
+  for (const auto& [size, sub] : desc_) {
+    bytes += sizeof(size) + sizeof(sub) +
+             sub.counts.capacity() * sizeof(std::int64_t);
   }
   return bytes;
 }

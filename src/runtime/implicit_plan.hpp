@@ -1,10 +1,13 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "bcast/tree.hpp"
 #include "logp/fib.hpp"
 #include "logp/params.hpp"
 #include "runtime/plan_cache.hpp"
@@ -12,11 +15,9 @@
 #include "sched/schedule.hpp"
 
 /// \file implicit_plan.hpp
-/// O(log P)-sized implicit schedules for the regular collectives.
+/// The one generator of the regular collective plans.
 ///
-/// The materialized planners build every tree node and every SendOp, so
-/// plan-build time and plan-cache memory grow linearly with P.  For the
-/// *regular* trees — the Section 2 optimal tree, its reversal (the
+/// For the *regular* trees — the Section 2 optimal tree, its reversal (the
 /// Section 4.2 reduction), and the binomial / binary / chain baselines —
 /// the whole structure is determined by (P, L, o, g), and any single
 /// rank's role can be recovered from the counting recurrences alone
@@ -42,11 +43,12 @@
 ///  * reduce: the same optimal-tree decode, emitted time-reversed
 ///    (a parent->child send at tau becomes child->parent at B - label).
 ///
-/// Node indices always refer to the deterministic order of the
-/// materialized builder, so implicit and materialized plans agree node by
-/// node, schedule by schedule — the property suite asserts equality, and
-/// exec::compile_implicit produces streams byte-equivalent to the
-/// materialized compilers.
+/// The Planner builds these five families from the decoder alone.  The
+/// per-node builders (`BroadcastTree::optimal`, `bcast::optimal_reduction`,
+/// `baselines::*_tree`) stay as the paper API and the independent oracles:
+/// node indices follow their order, and the property suite asserts
+/// agreement node by node, schedule by schedule and instruction by
+/// instruction.
 
 namespace logpc::runtime {
 
@@ -91,6 +93,9 @@ class ImplicitPlan {
   /// reversal, the tree makespan for the baselines.
   [[nodiscard]] Time completion() const { return completion_; }
 
+  /// The construction label a plan of this family carries (Plan::method).
+  [[nodiscard]] const char* method() const { return method_; }
+
   /// Heap footprint of the recurrence tables (the whole point: O(log P),
   /// not O(P)).
   [[nodiscard]] std::size_t memory_bytes() const;
@@ -110,8 +115,6 @@ class ImplicitPlan {
   /// Index of the rank-i child, or -1 when that child falls outside the
   /// P-node tree.
   [[nodiscard]] std::int64_t child(std::int64_t node, int rank) const;
-  /// All children in rank order (size == num_children(node)).
-  [[nodiscard]] std::vector<std::int64_t> children(std::int64_t node) const;
 
   // --- proc mapping ------------------------------------------------------
   // BroadcastTree::to_schedule's root swap: node 0 maps to the key's root,
@@ -124,19 +127,24 @@ class ImplicitPlan {
   /// (out-degrees of all supported trees are O(log P)).
   [[nodiscard]] RankSchedule rank_schedule(ProcId proc) const;
 
-  /// O(P log P) materialization, equal (by Schedule::operator==) to the
-  /// materialized builder's schedule for the same key.  For equivalence
-  /// tests and fallbacks; large-P callers should stay implicit.
+  /// The whole schedule, equal to the per-node builder's: one O(P)
+  /// top-down walk plus a sort.  Large-P callers should stay implicit.
   [[nodiscard]] Schedule to_schedule() const;
+  /// The tree, node for node the builder's BroadcastTree (same walk).
+  [[nodiscard]] bcast::BroadcastTree to_tree() const;
 
  private:
   enum class Family : std::uint8_t { kOptimal, kBinomial, kBinary, kChain };
 
   ImplicitPlan() = default;
 
+  /// Visits every tree edge top-down as visit(parent, parent_label, child,
+  /// rank): parents in index order, each parent's children in rank order.
+  template <class Visit>
+  void for_each_edge(Visit&& visit) const;
+
   void build_optimal_tables();
   void build_binomial_tables();
-  [[nodiscard]] Time binary_subtree_max_label(std::int64_t node) const;
 
   // Optimal-tree helpers over the cumulative node-count table.
   [[nodiscard]] Count nodes_through(Time t) const;  ///< N(t); 0 for t < 0
@@ -149,13 +157,27 @@ class ImplicitPlan {
   /// One decode resolving label, parent index and child rank together.
   [[nodiscard]] OptParent optimal_parent(std::int64_t node) const;
 
-  // Binomial helpers.
+  // Binomial helpers.  A subtree of `size` nodes peels off halves of what
+  // remains: its rank-j child roots floor(r_j / 2) nodes, where
+  // r_j = ceil(size / 2^j), so it has ceil(log2 size) children.
+  static constexpr int kMaxBinomialDepth = 32;  ///< ceil(log2 P), int P
   struct BinomialPath {
     int depth = 0;
-    std::vector<int> ranks;  ///< rank path from the root, size == depth
-    std::vector<int> sizes;  ///< subtree size at each step, size == depth
+    int size = 0;  ///< subtree size of the node the path ends at
+    std::array<int, kMaxBinomialDepth> ranks{};  ///< ranks[0, depth)
   };
-  [[nodiscard]] static std::vector<int> binomial_child_sizes(int size);
+  [[nodiscard]] static int binomial_child_size(int size, int rank) {
+    return (((size - 1) >> rank) + 1) / 2;
+  }
+  [[nodiscard]] static int binomial_num_children(int size) {
+    return std::bit_width(static_cast<unsigned>(size - 1));
+  }
+  struct BinomialSubtree {
+    std::vector<std::int64_t> counts;  ///< [k] = depth-k descendants
+    Time max_label = 0;                ///< deepest label, root-relative
+  };
+  /// desc_[size], built (with every smaller reachable size) on first use.
+  const BinomialSubtree& binomial_subtree(int size);
   [[nodiscard]] BinomialPath binomial_decode(std::int64_t node) const;
   [[nodiscard]] std::int64_t binomial_descendants(int size, int depth) const;
   [[nodiscard]] std::int64_t binomial_index(const BinomialPath& path,
@@ -164,6 +186,7 @@ class ImplicitPlan {
   PlanKey key_;
   Family family_ = Family::kOptimal;
   bool reverse_ = false;  ///< emit time-reversed (kReduce)
+  const char* method_ = "";
   std::int64_t P_ = 1;
   Time T_ = 0;  ///< transfer time L + 2o
   Time g_ = 1;
@@ -176,13 +199,12 @@ class ImplicitPlan {
   std::vector<Count> strided_;
 
   // kBinomial: descendant counts per reachable subtree size.
-  // desc_[size][k] = number of depth-k descendants of a size-`size`
-  // subtree root (desc_[s][0] == 1); level_start_[d] = index of the first
+  // desc_[size].counts[k] = number of depth-k descendants of a size-`size`
+  // subtree root (counts[0] == 1); level_start_[d] = index of the first
   // depth-d node.  At most two sizes per halving depth are reachable, so
   // both tables are O(log^2 P).
-  std::unordered_map<int, std::vector<std::int64_t>> desc_;
+  std::unordered_map<int, BinomialSubtree> desc_;
   std::vector<std::int64_t> level_start_;
-  int max_depth_ = 0;
 };
 
 /// The plan's schedule whether or not it was materialized: a copy of

@@ -33,14 +33,15 @@ class ImplicitPlan;
 /// (so api::Communicator can reconstitute them from a cached plan).
 ///
 /// Two representations coexist:
-///  * `schedule` — the materialized per-op IR, present iff `materialized`;
-///  * `implicit` — the O(log P) generator form (implicit_plan.hpp), present
-///    whenever ImplicitPlan::supports(key).
-/// Small plans carry both (implicit is validated against materialized by
-/// the property suite); past Planner::Options::materialize_threshold the
-/// planner stores the implicit form alone, which is what makes million-rank
-/// cache entries O(log P)-sized.  Use runtime::plan_schedule(plan) when you
-/// need a Schedule regardless of representation.
+///  * `implicit` — the O(log P) generator (implicit_plan.hpp), present
+///    whenever ImplicitPlan::supports(key); it is then the plan's one
+///    source, and the per-node builders are only its test oracles;
+///  * `schedule` — the per-op IR, present iff `materialized` (for an
+///    implicit plan, implicit->to_schedule()).
+/// Past Planner::Options::materialize_threshold the planner keeps the
+/// implicit form alone, which is what makes million-rank cache entries
+/// O(log P)-sized.  Use runtime::plan_schedule(plan) when you need a
+/// Schedule regardless of representation.
 struct Plan {
   PlanKey key;
   Schedule schedule;  ///< empty unless `materialized`

@@ -12,8 +12,6 @@
 #include "bcast/hierarchical.hpp"
 #include "bcast/kitem.hpp"
 #include "bcast/kitem_buffered.hpp"
-#include "bcast/reduction.hpp"
-#include "bcast/single_item.hpp"
 #include "obs/trace_recorder.hpp"
 #include "runtime/implicit_plan.hpp"
 #include "sched/metrics.hpp"
@@ -69,23 +67,10 @@ Time port_schedule_completion(const Params& params) {
   return (params.P - 2) * params.g + params.transfer_time();
 }
 
-/// The method label an implicit-only build stamps — identical strings to
-/// the materialized switch, so representation never shows in diagnostics.
-std::string implicit_method(Problem problem) {
-  switch (problem) {
-    case Problem::kBroadcast:
-      return "optimal tree (Thm 2.1)";
-    case Problem::kReduce:
-      return "reversed optimal tree (Sec 4.2)";
-    case Problem::kBinomialBroadcast:
-      return "binomial tree";
-    case Problem::kBinaryBroadcast:
-      return "binary tree";
-    case Problem::kChainBroadcast:
-      return "linear chain";
-    default:
-      return {};
-  }
+/// The decoder's tree of a baseline family on `m`, for the pipelined k-item
+/// baselines (which take a tree shape rather than a schedule).
+bcast::BroadcastTree decoded_tree(Problem family, const Params& m) {
+  return ImplicitPlan::build(PlanKey::make(family, m)).to_tree();
 }
 
 }  // namespace
@@ -337,25 +322,28 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
   Plan plan;
   plan.key = key;
   if (ImplicitPlan::supports(key)) {
-    plan.implicit =
+    // The decoder is the one generator of the regular trees: completion,
+    // method and (when materialized) the schedule all come from it.
+    auto implicit =
         std::make_shared<const ImplicitPlan>(ImplicitPlan::build(key));
+    plan.completion = implicit->completion();
+    plan.method = implicit->method();
+    plan.materialized = materialize;
+    if (materialize) plan.schedule = implicit->to_schedule();
+    plan.implicit = std::move(implicit);
+    return plan;
   }
   if (!materialize) {
-    if (!plan.implicit) {
-      throw std::invalid_argument(
-          "Planner::build_uncached: no implicit form for " + key.to_string());
-    }
-    plan.materialized = false;
-    plan.completion = plan.implicit->completion();
-    plan.method = implicit_method(key.problem);
-    return plan;
+    throw std::invalid_argument(
+        "Planner::build_uncached: no implicit form for " + key.to_string());
   }
   switch (key.problem) {
     case Problem::kBroadcast:
-      plan.schedule = bcast::optimal_single_item(m, key.root);
-      plan.completion = bcast::B_of_P(m, m.P);
-      plan.method = "optimal tree (Thm 2.1)";
-      break;
+    case Problem::kReduce:
+    case Problem::kBinomialBroadcast:
+    case Problem::kBinaryBroadcast:
+    case Problem::kChainBroadcast:
+      break;  // built from their ImplicitPlan above
     case Problem::kKItemBroadcast: {
       auto r = bcast::kitem_broadcast(m.P, m.L, k);
       plan.schedule = std::move(r.schedule);
@@ -384,13 +372,6 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       plan.completion = port_schedule_completion(m);
       plan.method = "serialized receive port";
       break;
-    case Problem::kReduce: {
-      auto r = bcast::optimal_reduction(m, key.root);
-      plan.schedule = std::move(r.schedule);
-      plan.completion = r.completion;
-      plan.method = "reversed optimal tree (Sec 4.2)";
-      break;
-    }
     case Problem::kSummation: {
       const Time t =
           sum::min_time_for_operands(m, static_cast<Count>(key.k));
@@ -421,27 +402,6 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       plan.method = "combining broadcast (Thm 4.1)";
       break;
     }
-    case Problem::kBinomialBroadcast: {
-      const auto tree = baselines::binomial_tree(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "binomial tree";
-      break;
-    }
-    case Problem::kBinaryBroadcast: {
-      const auto tree = baselines::binary_tree(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "binary tree";
-      break;
-    }
-    case Problem::kChainBroadcast: {
-      const auto tree = baselines::linear_chain(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "linear chain";
-      break;
-    }
     case Problem::kFlatBroadcast: {
       const auto tree = baselines::flat_tree(m, m.P);
       plan.schedule = tree.to_schedule(key.root);
@@ -456,13 +416,13 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       break;
     case Problem::kPipelinedBinaryKItem:
       plan.schedule = baselines::pipelined_tree_broadcast(
-          baselines::binary_tree(m, m.P), k);
+          decoded_tree(Problem::kBinaryBroadcast, m), k);
       plan.completion = completion_time(plan.schedule);
       plan.method = "pipelined binary tree";
       break;
     case Problem::kPipelinedChainKItem:
       plan.schedule = baselines::pipelined_tree_broadcast(
-          baselines::linear_chain(m, m.P), k);
+          decoded_tree(Problem::kChainBroadcast, m), k);
       plan.completion = completion_time(plan.schedule);
       plan.method = "pipelined chain";
       break;

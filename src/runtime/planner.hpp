@@ -15,7 +15,8 @@
 
 /// \file planner.hpp
 /// The concurrent planning service: one facade in front of every schedule
-/// producer in src/bcast, src/sum and src/baselines.
+/// producer — the ImplicitPlan decoder for the regular trees, src/bcast,
+/// src/sum and src/baselines for the rest.
 ///
 /// plan(key) resolves in three stages:
 ///   1. cache probe — a hit returns the shared immutable plan instantly;
@@ -96,12 +97,12 @@ class Planner {
                                    const Params& params, std::size_t bytes,
                                    ProcId root = 0);
 
-  /// Routes `key` to its schedule producer, bypassing cache and dedup: the
-  /// one function that knows every builder.  Also the cold path the plan-
-  /// cache bench measures.  The implicit generator is attached whenever
-  /// ImplicitPlan::supports(key); with `materialize` false the per-op
-  /// Schedule build is skipped entirely (O(log P) instead of O(P log P) —
-  /// throws std::invalid_argument for keys with no implicit form).
+  /// Builds `key`'s plan, bypassing cache and dedup (the cold path the
+  /// plan-cache bench measures).  A key ImplicitPlan::supports is built
+  /// from its decoder alone: completion and method, plus to_schedule()
+  /// when `materialize` (without it, O(log P) instead of O(P log P)).
+  /// Every other key routes to its builder, and throws
+  /// std::invalid_argument unless `materialize`.
   [[nodiscard]] static Plan build_uncached(const PlanKey& key,
                                            bool materialize = true);
 

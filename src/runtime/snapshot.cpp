@@ -132,10 +132,20 @@ Plan read_plan(std::istream& is, int version) {
     plan.schedule = read_binary(is);
   }
   // The generator form is derived state: rebuild it from the canonical key
-  // rather than trusting (or paying for) serialized tables.
+  // rather than trusting (or paying for) serialized tables.  It is also the
+  // generator the engine lowers, so an entry whose stored fields disagree
+  // with it (stale or tampered) would serve a schedule and prediction that
+  // differ from what runs: reject it.
   if (ImplicitPlan::supports(plan.key)) {
     plan.implicit =
         std::make_shared<const ImplicitPlan>(ImplicitPlan::build(plan.key));
+    const ImplicitPlan& decoder = *plan.implicit;
+    if (plan.completion != decoder.completion() ||
+        plan.method != decoder.method() || plan.slack != 0 ||
+        plan.max_buffer_depth != 0 || plan.total_operands != 0 ||
+        (plan.materialized && plan.schedule != decoder.to_schedule())) {
+      fail("entry disagrees with its generator: " + plan.key.to_string());
+    }
   } else if (!plan.materialized) {
     fail("implicit-only plan for a key without an implicit form");
   }

@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "api/communicator.hpp"
+#include "baselines/bcast_baselines.hpp"
+#include "bcast/reduction.hpp"
+#include "bcast/single_item.hpp"
 #include "exec_test_util.hpp"
 #include "runtime/planner.hpp"
 #include "sum/summation_tree.hpp"
@@ -127,22 +130,32 @@ void expect_same_program(const Program& a, const Program& b,
 }
 
 /// The per-IR lowering of `key`'s freshly materialized plan — the path
-/// each caller spelled out before exec::compile existed.
+/// each caller spelled out before exec::compile existed.  The regular trees
+/// come from their independent per-node builders, not from the planner
+/// (whose only generator for them is the implicit decoder under test).
 Program reference(const Lowering& c, const Params& m, const PlanKey& key) {
-  if (c.problem == Problem::kSummation) {
-    return compile_summation(
-        sum::optimal_summation(m, sum::min_time_for_operands(m, c.k)));
+  switch (c.problem) {
+    case Problem::kSummation:
+      return compile_summation(
+          sum::optimal_summation(m, sum::min_time_for_operands(m, c.k)));
+    case Problem::kReduce:
+      return compile_reduction(bcast::optimal_reduction(m, key.root));
+    case Problem::kBroadcast:
+      return compile_broadcast(bcast::optimal_single_item(m, key.root),
+                               c.label);
+    case Problem::kBinomialBroadcast:
+      return compile_broadcast(
+          baselines::binomial_tree(m, m.P).to_schedule(key.root), c.label);
+    case Problem::kBinaryBroadcast:
+      return compile_broadcast(
+          baselines::binary_tree(m, m.P).to_schedule(key.root), c.label);
+    case Problem::kChainBroadcast:
+      return compile_broadcast(
+          baselines::linear_chain(m, m.P).to_schedule(key.root), c.label);
+    default:
+      return compile_broadcast(Planner::build_uncached(key).schedule,
+                               c.label);
   }
-  const Plan full = Planner::build_uncached(key);
-  if (c.problem == Problem::kReduce) {
-    bcast::ReductionPlan rp;
-    rp.params = m;
-    rp.root = key.root;
-    rp.schedule = full.schedule;
-    rp.completion = full.completion;
-    return compile_reduction(rp);
-  }
-  return compile_broadcast(full.schedule, c.label);
 }
 
 class ExecCompile : public ::testing::TestWithParam<Lowering> {};

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "baselines/bcast_baselines.hpp"
+#include "baselines/kitem_baselines.hpp"
 #include "bcast/reduction.hpp"
+#include "bcast/single_item.hpp"
 #include "bcast/tree.hpp"
 #include "exec/engine.hpp"
 #include "exec/program.hpp"
@@ -46,6 +48,41 @@ bcast::BroadcastTree materialized_tree(const PlanKey& key) {
     default:
       throw std::logic_error("not an implicit problem");
   }
+}
+
+/// The plan the independent per-node builders make for `key` — the oracle
+/// for the decoder, which is the Planner's only generator of these
+/// families.  `implicit` is the decoder under test.
+Plan builder_plan(const PlanKey& key) {
+  const Params& m = key.params;
+  Plan plan;
+  plan.key = key;
+  plan.implicit =
+      std::make_shared<const ImplicitPlan>(ImplicitPlan::build(key));
+  switch (key.problem) {
+    case Problem::kBroadcast:
+      plan.schedule = bcast::optimal_single_item(m, key.root);
+      plan.completion = bcast::B_of_P(m, m.P);
+      plan.method = "optimal tree (Thm 2.1)";
+      break;
+    case Problem::kReduce: {
+      bcast::ReductionPlan r = bcast::optimal_reduction(m, key.root);
+      plan.schedule = std::move(r.schedule);
+      plan.completion = r.completion;
+      plan.method = "reversed optimal tree (Sec 4.2)";
+      break;
+    }
+    default: {
+      const bcast::BroadcastTree tree = materialized_tree(key);
+      plan.schedule = tree.to_schedule(key.root);
+      plan.completion = tree.makespan();
+      plan.method = key.problem == Problem::kBinomialBroadcast ? "binomial tree"
+                    : key.problem == Problem::kBinaryBroadcast ? "binary tree"
+                                                               : "linear chain";
+      break;
+    }
+  }
+  return plan;
 }
 
 std::vector<Params> random_machines(int count, int max_p) {
@@ -117,6 +154,42 @@ TEST(ImplicitPlan, NodeQueriesMatchTheMaterializedTrees) {
   }
 }
 
+TEST(ImplicitPlan, TreesMatchTheMaterializedTrees) {
+  for (const Params& m : random_machines(20, 120)) {
+    for (const Problem problem : kImplicitProblems) {
+      const PlanKey key = PlanKey::make(problem, m);
+      const bcast::BroadcastTree decoded = ImplicitPlan::build(key).to_tree();
+      const bcast::BroadcastTree tree = materialized_tree(key);
+      ASSERT_EQ(decoded.size(), tree.size()) << key.to_string();
+      EXPECT_EQ(decoded.params(), tree.params()) << key.to_string();
+      for (int n = 0; n < tree.size(); ++n) {
+        ASSERT_EQ(decoded.node(n).label, tree.node(n).label)
+            << key.to_string() << " node " << n;
+        ASSERT_EQ(decoded.node(n).parent, tree.node(n).parent)
+            << key.to_string() << " node " << n;
+        ASSERT_EQ(decoded.node(n).rank, tree.node(n).rank)
+            << key.to_string() << " node " << n;
+        ASSERT_EQ(decoded.node(n).children, tree.node(n).children)
+            << key.to_string() << " node " << n;
+      }
+    }
+  }
+  // The pipelined k-item baselines run on the decoded binary / chain trees.
+  for (const Params& m : {Params{13, 3, 1, 2}, Params::postal(20, 4)}) {
+    const Params postal = Params::postal(m.P, m.transfer_time());
+    EXPECT_EQ(Planner::build_uncached(
+                  PlanKey::make(Problem::kPipelinedBinaryKItem, m, 3))
+                  .schedule,
+              baselines::pipelined_tree_broadcast(
+                  baselines::binary_tree(postal, m.P), 3));
+    EXPECT_EQ(Planner::build_uncached(
+                  PlanKey::make(Problem::kPipelinedChainKItem, m, 3))
+                  .schedule,
+              baselines::pipelined_tree_broadcast(
+                  baselines::linear_chain(postal, m.P), 3));
+  }
+}
+
 TEST(ImplicitPlan, SchedulesMatchTheMaterializedBuilders) {
   std::mt19937 rng(7);
   for (const Params& m : random_machines(20, 96)) {
@@ -124,13 +197,15 @@ TEST(ImplicitPlan, SchedulesMatchTheMaterializedBuilders) {
     const ProcId root = static_cast<ProcId>(rd(rng));
     for (const Problem problem : kImplicitProblems) {
       const PlanKey key = PlanKey::make(problem, m, 1, root);
-      const Plan materialized = Planner::build_uncached(key);
+      const Plan materialized = builder_plan(key);
       ASSERT_TRUE(materialized.materialized);
       ASSERT_NE(materialized.implicit, nullptr) << key.to_string();
       const ImplicitPlan& implicit = *materialized.implicit;
       EXPECT_EQ(implicit.completion(), materialized.completion)
           << key.to_string();
       EXPECT_EQ(implicit.to_schedule(), materialized.schedule)
+          << key.to_string();
+      EXPECT_EQ(Planner::build_uncached(key).schedule, materialized.schedule)
           << key.to_string();
       // And the implicit-only build agrees on the scalars.
       const Plan lean = Planner::build_uncached(key, /*materialize=*/false);
@@ -228,19 +303,14 @@ TEST(ImplicitPlan, CompiledStreamsMatchTheMaterializedCompilers) {
       {
         const PlanKey key = PlanKey::broadcast(m, root);
         const ImplicitPlan plan = ImplicitPlan::build(key);
-        const Plan full = Planner::build_uncached(key);
         expect_same_streams(exec::compile_implicit(plan),
-                            exec::compile_broadcast(full.schedule));
+                            exec::compile_broadcast(
+                                bcast::optimal_single_item(m, root)));
       }
       {
         const PlanKey key = PlanKey::reduce(m, root);
         const ImplicitPlan plan = ImplicitPlan::build(key);
-        bcast::ReductionPlan rp;
-        rp.params = m;
-        rp.root = root;
-        const Plan full = Planner::build_uncached(key);
-        rp.schedule = full.schedule;
-        rp.completion = full.completion;
+        const bcast::ReductionPlan rp = bcast::optimal_reduction(m, root);
         expect_same_streams(exec::compile_implicit(plan),
                             exec::compile_reduction(rp));
       }
@@ -260,7 +330,7 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
   const exec::Program via_implicit =
       exec::compile_implicit(ImplicitPlan::build(bkey));
   const exec::Program via_ir =
-      exec::compile_broadcast(Planner::build_uncached(bkey).schedule);
+      exec::compile_broadcast(bcast::optimal_single_item(m, bkey.root));
   const exec::ExecReport ri = engine.run(via_implicit, {payload});
   const exec::ExecReport rm = engine.run(via_ir, {payload});
   ASSERT_EQ(ri.items.size(), rm.items.size());
@@ -280,12 +350,7 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
     values.push_back(exec::Bytes{static_cast<std::byte>('a' + p)});
   }
   const PlanKey rkey = PlanKey::reduce(m, /*root=*/5);
-  const Plan rfull = Planner::build_uncached(rkey);
-  bcast::ReductionPlan rp;
-  rp.params = m;
-  rp.root = 5;
-  rp.schedule = rfull.schedule;
-  rp.completion = rfull.completion;
+  const bcast::ReductionPlan rp = bcast::optimal_reduction(m, rkey.root);
   const exec::ExecReport fi =
       engine.run(exec::compile_implicit(ImplicitPlan::build(rkey)), values,
                  concat);
@@ -361,7 +426,7 @@ TEST(ImplicitPlan, PlannerThresholdControlsMaterialization) {
   ASSERT_NE(big->implicit, nullptr);
   // plan_schedule materializes on demand and matches the direct builder.
   EXPECT_EQ(plan_schedule(*big),
-            Planner::build_uncached(big->key).schedule);
+            bcast::optimal_single_item(big->key.params, big->key.root));
   // Problems without an implicit form materialize whatever P is.
   const PlanPtr scatter =
       planner.plan(PlanKey::scatter(Params{200, 4, 1, 2}));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "runtime/planner.hpp"
@@ -89,6 +90,39 @@ TEST(Snapshot, RejectsCorruptInput) {
   PlanCache partial(16, 1);
   EXPECT_THROW((void)load_snapshot(partial, truncated),
                std::invalid_argument);
+}
+
+TEST(Snapshot, RejectsAScheduleThatDisagreesWithTheGenerator) {
+  Planner planner;
+  (void)planner.plan(PlanKey::broadcast(kMachine));
+  std::stringstream stream;
+  ASSERT_EQ(save_snapshot(planner.cache(), stream), 1u);
+  const std::string intact = stream.str();
+  {
+    std::stringstream replay(intact);
+    PlanCache cache(4, 1);
+    EXPECT_EQ(load_snapshot(cache, replay), 1u);
+  }
+
+  // The entry ends with its schedule, whose last record is one send:
+  // five little-endian i64 words (start, from, to, item, recv_start).
+  // Delaying that send by one cycle keeps the schedule well formed, but it
+  // is no longer the schedule the broadcast's generator produces.
+  std::string tampered = intact;
+  const std::size_t start_at = tampered.size() - 5 * 8;
+  std::int64_t start = 0;
+  for (std::size_t i = 8; i-- > 0;) {
+    start = (start << 8) | static_cast<unsigned char>(tampered[start_at + i]);
+  }
+  start += 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto word = static_cast<std::uint64_t>(start);
+    tampered[start_at + i] = static_cast<char>((word >> (8 * i)) & 0xff);
+  }
+  std::stringstream replay(tampered);
+  PlanCache cache(4, 1);
+  EXPECT_THROW((void)load_snapshot(cache, replay), std::invalid_argument);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(Snapshot, EmptyCacheRoundTrips) {
