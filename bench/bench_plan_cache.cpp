@@ -15,8 +15,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "exec/program.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/implicit_plan.hpp"
 #include "runtime/planner.hpp"
@@ -227,33 +229,54 @@ void report() {
     if (top_speedup < 100.0) gate_ok = false;
   }
 
-  // ---- materialized build latency per implicit family (P = 2^16) -------
+  // ---- build and compile latency per implicit family (P = 2^16) --------
   // Every family's materialized schedule comes from its decoder's
-  // to_schedule(); one row each, so a decoder slowdown in any family shows.
+  // to_schedule(), and its Program from compile_implicit's one edge walk;
+  // one row each, so a decoder or lowering slowdown in any family shows.
+  // The summation row times the Section 5 path the same way: the planner's
+  // build (deadline search + optimal plan) and exec::compile.
   logpc::bench::section(
-      "materialized plan-build latency per implicit family (P = 2^16)");
+      "plan-build and compile latency per family (P = 2^16, median of 5)");
   {
-    Table grid({"family", "materialized ms (median of 5)"});
+    const auto median_ms = [](std::vector<double> secs) {
+      std::sort(secs.begin(), secs.end());
+      return secs[secs.size() / 2] * 1e3;
+    };
+    Table grid({"family", "materialized build ms", "compile ms"});
+    const Params m{1 << 16, 4, 1, 2};
+    const auto time_key = [&](const PlanKey& key) {
+      std::vector<double> build_secs;
+      std::vector<double> compile_secs;
+      for (int r = 0; r < 5; ++r) {
+        const auto s0 = Clock::now();
+        const runtime::Plan plan = Planner::build_uncached(key);
+        build_secs.push_back(seconds_since(s0));
+        const auto s1 = Clock::now();
+        benchmark::DoNotOptimize(exec::compile(plan));
+        compile_secs.push_back(seconds_since(s1));
+      }
+      return std::pair{median_ms(build_secs), median_ms(compile_secs)};
+    };
     for (const runtime::Problem problem :
          {runtime::Problem::kBroadcast, runtime::Problem::kReduce,
           runtime::Problem::kBinomialBroadcast,
           runtime::Problem::kBinaryBroadcast,
           runtime::Problem::kChainBroadcast}) {
-      const PlanKey key = PlanKey::make(problem, Params{1 << 16, 4, 1, 2});
-      std::vector<double> secs;
-      for (int r = 0; r < 5; ++r) {
-        const auto s0 = Clock::now();
-        benchmark::DoNotOptimize(Planner::build_uncached(key));
-        secs.push_back(seconds_since(s0));
-      }
-      std::sort(secs.begin(), secs.end());
-      const double median_ms = secs[secs.size() / 2] * 1e3;
+      const auto [build_ms, compile_ms] = time_key(PlanKey::make(problem, m));
       const std::string family(runtime::problem_name(problem));
-      grid.row(family, median_ms);
+      grid.row(family, build_ms, compile_ms);
       json.entry("implicit_family_build",
                  {{"family", family}, {"P", std::to_string(1 << 16)}},
-                 {{"materialized_build_ms", median_ms}});
+                 {{"materialized_build_ms", build_ms},
+                  {"compile_ms", compile_ms}});
     }
+    const std::int64_t n = 2 * static_cast<std::int64_t>(m.P);
+    const auto [build_ms, compile_ms] =
+        time_key(PlanKey::summation(m, n));
+    grid.row("summation (n = 2P)", build_ms, compile_ms);
+    json.entry("summation_build",
+               {{"P", std::to_string(m.P)}, {"n", std::to_string(n)}},
+               {{"build_ms", build_ms}, {"compile_ms", compile_ms}});
     grid.print();
   }
 

@@ -90,7 +90,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_fault test_svc_sched test_svc test_svc_fusion test_svc_introspect \
              test_prometheus_lint \
              test_hier test_hierarchical test_hier_plan test_measure \
-             test_tuner
+             test_tuner test_summation
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
@@ -118,6 +118,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_hier_plan
   ./build-asan/tests/test_measure
   ./build-asan/tests/test_tuner
+  # Closed-form operand counts: UBSan watches the saturating arithmetic.
+  ./build-asan/tests/test_summation
   for seed in 1 7 1993; do
     LOGPC_FAULT_SEED="$seed" ./build-asan/tests/test_fault
   done

@@ -1,6 +1,7 @@
 #include "exec/program.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -223,31 +224,49 @@ Program compile_implicit(const runtime::ImplicitPlan& plan,
   }
   prog.procs.resize(P);
 
-  // Per-rank streams straight from the generators.  A RankSchedule's recvs
-  // and sends are each in time order, and every receive's payload is
-  // available no later than the first send's start (equality only on the
-  // parent link), so recvs-then-sends is exactly the Keyed order the
-  // materialized compilers produce.  Links intern rank-major.
-  LinkTable links;
-  for (std::size_t p = 0; p < P; ++p) {
-    const runtime::RankSchedule rs =
-        plan.rank_schedule(static_cast<ProcId>(p));
-    ProcProgram& stream = prog.procs[p];
-    stream.proc = static_cast<ProcId>(p);
-    stream.instrs.reserve(rs.recvs.size() + rs.sends.size());
-    for (const SendOp& op : rs.recvs) {
-      const std::int32_t link = links.intern(op.from, op.to);
-      stream.instrs.push_back(
-          Instr{OpCode::kRecv, op.from, op.item, 0, link, op.start + T});
-    }
-    for (const SendOp& op : rs.sends) {
-      const std::int32_t link = links.intern(op.from, op.to);
-      stream.instrs.push_back(
-          Instr{OpCode::kSend, op.to, op.item, 0, link, op.start});
-    }
+  // One link per tree edge, numbered in walk order.  The walk visits a
+  // node's parent edge before its own children's edges (parents come in
+  // index order and precede their children), each parent's children in
+  // rank order.  Broadcast: appending each edge's receive and send as the
+  // walk visits it gives every rank its receive, then its sends in time
+  // order.  Reduce: receives arrive in descending child rank, so they are
+  // appended in reverse walk order, and every rank's single send follows
+  // all of them.  Either way this is the Keyed order of the materialized
+  // compilers.
+  const std::vector<SendOp> sends = plan.edge_sends();
+  std::vector<std::int32_t> degree(P, 0);
+  for (const SendOp& op : sends) {
+    ++degree[static_cast<std::size_t>(op.from)];
+    ++degree[static_cast<std::size_t>(op.to)];
   }
-  prog.links = links.take();
-  annotate_recv_chains(prog);
+  for (std::size_t p = 0; p < P; ++p) {
+    prog.procs[p].proc = static_cast<ProcId>(p);
+    prog.procs[p].instrs.reserve(static_cast<std::size_t>(degree[p]));
+  }
+  prog.links.reserve(sends.size());
+  for (const SendOp& op : sends) prog.links.push_back(Link{op.from, op.to});
+  const auto recv = [&](std::size_t e) {
+    const SendOp& op = sends[e];
+    prog.procs[static_cast<std::size_t>(op.to)].instrs.push_back(
+        Instr{OpCode::kRecv, op.from, 0, 0, static_cast<std::int32_t>(e),
+              op.start + T});
+  };
+  const auto send = [&](std::size_t e) {
+    const SendOp& op = sends[e];
+    prog.procs[static_cast<std::size_t>(op.from)].instrs.push_back(
+        Instr{OpCode::kSend, op.to, 0, 0, static_cast<std::int32_t>(e),
+              op.start});
+  };
+  if (!reduce) {
+    for (std::size_t e = 0; e < sends.size(); ++e) {
+      recv(e);
+      send(e);
+    }
+  } else {
+    for (std::size_t e = sends.size(); e-- > 0;) recv(e);
+    for (std::size_t e = 0; e < sends.size(); ++e) send(e);
+  }
+  // Each link carries one message, so every receive keeps chain = 1.
   return prog;
 }
 
@@ -265,8 +284,22 @@ Program compile_summation(const sum::SummationPlan& plan) {
     prog.procs[p].proc = static_cast<ProcId>(p);
   }
 
+  // Every participant sends at most once, so its sender names its link;
+  // ids go out in first-use order.
+  std::vector<std::int32_t> link_of(P, -1);
+  const auto link = [&](ProcId from, ProcId to) {
+    std::int32_t& id = link_of[static_cast<std::size_t>(from)];
+    if (id < 0) {
+      id = static_cast<std::int32_t>(prog.links.size());
+      prog.links.push_back(Link{from, to});
+    } else if (prog.links[static_cast<std::size_t>(id)].to != to) {
+      throw std::invalid_argument("exec::compile_summation: P" +
+                                  std::to_string(from) +
+                                  " sends to two processors");
+    }
+    return id;
+  };
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
-  LinkTable links;
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const sum::ProcPlan& pp = plan.procs[i];
     const auto p = static_cast<std::size_t>(pp.proc);
@@ -274,27 +307,34 @@ Program compile_summation(const sum::SummationPlan& plan) {
     stream.sum_index = static_cast<std::int32_t>(i);
     stream.num_operands = layout[i].total();
     const auto& chunks = layout[i].chunk_sizes;
-    auto add_chunk = [&stream](std::size_t count, Time when) {
+    stream.instrs.reserve(chunks.size() + pp.recv_from.size() + 1);
+    auto add_chunk = [&stream, &pp](std::size_t count, Time when) {
       if (count == 0) return;
+      if (count > static_cast<std::size_t>(
+                      std::numeric_limits<std::int32_t>::max())) {
+        throw std::invalid_argument(
+            "exec::compile_summation: P" + std::to_string(pp.proc) +
+            " folds a local chunk of " + std::to_string(count) +
+            " operands; an instruction holds at most INT32_MAX");
+      }
       stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
                                     static_cast<std::int32_t>(count), -1,
                                     when});
     };
     add_chunk(chunks[0], 0);
     for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
-      const std::int32_t link = links.intern(pp.recv_from[j], pp.proc);
       stream.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
-                                    link, pp.recv_times[j]});
+                                    link(pp.recv_from[j], pp.proc),
+                                    pp.recv_times[j]});
       add_chunk(chunks[j + 1], pp.recv_times[j]);
     }
     if (pp.send_to != kNoProc) {
-      const std::int32_t link = links.intern(pp.proc, pp.send_to);
-      stream.instrs.push_back(
-          Instr{OpCode::kSend, pp.send_to, 0, 0, link, pp.send_time});
+      stream.instrs.push_back(Instr{OpCode::kSend, pp.send_to, 0, 0,
+                                    link(pp.proc, pp.send_to),
+                                    pp.send_time});
       ++prog.num_messages;
     }
   }
-  prog.links = links.take();
   annotate_recv_chains(prog);
   return prog;
 }

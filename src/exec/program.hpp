@@ -140,20 +140,24 @@ struct Program {
 /// bcast::execute_reduction.
 [[nodiscard]] Program compile_reduction(const bcast::ReductionPlan& plan);
 
-/// Lowers an implicit plan straight from its per-rank generators — no
-/// materialized Schedule anywhere on the path.  Produces instruction
-/// streams identical, processor by processor and instruction by
-/// instruction, to compile_broadcast / compile_reduction run on the
-/// materialized schedule for the same key (link *indices* may differ —
-/// they are interned in rank-major rather than global send order — but the
-/// link endpoints, stream order and timings agree, so engine results are
-/// byte-identical).  `label` defaults to "bcast" / "reduce" by plan kind.
+/// Lowers an implicit plan from one top-down walk over its tree edges
+/// (ImplicitPlan::edge_sends) — no materialized Schedule, no per-rank
+/// decode.  Produces instruction streams identical, processor by processor
+/// and instruction by instruction, to compile_broadcast /
+/// compile_reduction run on the materialized schedule for the same key.
+/// Link *indices* differ — one link per tree edge, numbered in walk order
+/// rather than global send order — but the link endpoints, stream order
+/// and timings agree, so engine results are byte-identical.  `label`
+/// defaults to "bcast" / "reduce" by plan kind.
 [[nodiscard]] Program compile_implicit(const runtime::ImplicitPlan& plan,
                                        std::string label = {});
 
 /// Lowers a summation plan: local chunks from sum::operand_layout
 /// interleave with receptions; processors outside plan.procs get empty
-/// streams.
+/// streams.  Links are numbered in first-use order (each participant sends
+/// at most once, so its sender names its link).  Throws
+/// std::invalid_argument when a local chunk exceeds INT32_MAX operands
+/// (Instr::count) or a processor would send to two peers.
 [[nodiscard]] Program compile_summation(const sum::SummationPlan& plan);
 
 /// Relabels a compiled program by swapping processors `a` and `b`:

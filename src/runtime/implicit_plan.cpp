@@ -146,6 +146,17 @@ ImplicitPlan::OptParent ImplicitPlan::optimal_parent(std::int64_t node) const {
   return out;
 }
 
+std::int64_t ImplicitPlan::optimal_child(std::int64_t node, Time ell,
+                                         int rank) const {
+  const Time c = ell + T_ + static_cast<Time>(rank) * g_;
+  if (c > completion_) return -1;  // label beyond B: outside B(P)
+  const Count before_classes =
+      ell >= g_ ? strided_[static_cast<std::size_t>(ell - g_)] : Count{0};
+  const Count idx = nodes_through(c - 1) + before_classes +
+                    (static_cast<Count>(node) - nodes_through(ell - 1));
+  return idx < static_cast<Count>(P_) ? static_cast<std::int64_t>(idx) : -1;
+}
+
 // ---- binomial tree (baselines::binomial_tree) ---------------------------
 //
 // The halving construction assigns indices in BFS order, and within the
@@ -298,17 +309,8 @@ std::int64_t ImplicitPlan::child(std::int64_t node, int rank) const {
   check_node(node, P_, "child");
   if (rank < 0) throw std::out_of_range("ImplicitPlan::child: rank < 0");
   switch (family_) {
-    case Family::kOptimal: {
-      const Time ell = label_of_index(node);
-      const Time c = ell + T_ + static_cast<Time>(rank) * g_;
-      if (c > completion_) return -1;  // label beyond B: outside B(P)
-      const Count before_classes =
-          ell >= g_ ? strided_[static_cast<std::size_t>(ell - g_)] : Count{0};
-      const Count idx = nodes_through(c - 1) + before_classes +
-                        (static_cast<Count>(node) - nodes_through(ell - 1));
-      return idx < static_cast<Count>(P_) ? static_cast<std::int64_t>(idx)
-                                          : -1;
-    }
+    case Family::kOptimal:
+      return optimal_child(node, label_of_index(node), rank);
     case Family::kBinomial: {
       BinomialPath path = binomial_decode(node);
       if (rank >= binomial_num_children(path.size)) return -1;
@@ -410,18 +412,20 @@ RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
 // ---- whole-tree materialization ------------------------------------------
 //
 // One top-down pass in node-index order; no node is decoded from scratch.
-// Optimal: labels never decrease with the index, and child() is a closed
-// form given the label.  Binomial, binary and chain trees are numbered
+// Optimal: labels never decrease with the index, so the walk advances the
+// label instead of searching for it, and a child is a closed form given
+// the label.  Binomial, binary and chain trees are numbered
 // breadth-first, so a node's children take the next free indices in rank
 // order and inherit their label (and binomial subtree size) from it.
 
 template <class Visit>
 void ImplicitPlan::for_each_edge(Visit&& visit) const {
   if (family_ == Family::kOptimal) {
+    Time lab = 0;
     for (std::int64_t n = 0; n < P_; ++n) {
-      const Time lab = label_of_index(n);
+      while (nodes_through(lab) <= static_cast<Count>(n)) ++lab;
       for (int rank = 0;; ++rank) {
-        const std::int64_t c = child(n, rank);
+        const std::int64_t c = optimal_child(n, lab, rank);
         if (c < 0) break;
         visit(n, lab, c, rank);
       }
@@ -447,6 +451,31 @@ void ImplicitPlan::for_each_edge(Visit&& visit) const {
   }
 }
 
+template <class Emit>
+void ImplicitPlan::for_each_send(Emit&& emit) const {
+  for_each_edge([&](std::int64_t parent, Time parent_label,
+                    std::int64_t child, int rank) {
+    const Time start = parent_label + static_cast<Time>(rank) * g_;
+    const ProcId from = proc_of_node(parent);
+    const ProcId to = proc_of_node(child);
+    if (!reverse_) {
+      emit(start, from, to);
+    } else {
+      // Section 4.2: the child's value departs at B - label(child).
+      emit(completion_ - (start + T_), to, from);
+    }
+  });
+}
+
+std::vector<SendOp> ImplicitPlan::edge_sends() const {
+  std::vector<SendOp> out;
+  out.reserve(static_cast<std::size_t>(P_ - 1));
+  for_each_send([&](Time start, ProcId from, ProcId to) {
+    out.push_back(SendOp{start, from, to, 0});
+  });
+  return out;
+}
+
 Schedule ImplicitPlan::to_schedule() const {
   Schedule out(key_.params, 1);
   if (!reverse_) {
@@ -454,17 +483,8 @@ Schedule ImplicitPlan::to_schedule() const {
   } else {
     for (ProcId p = 0; p < key_.params.P; ++p) out.add_initial(0, p, 0);
   }
-  for_each_edge([&](std::int64_t parent, Time parent_label,
-                    std::int64_t child, int rank) {
-    const Time start = parent_label + static_cast<Time>(rank) * g_;
-    const ProcId from = proc_of_node(parent);
-    const ProcId to = proc_of_node(child);
-    if (!reverse_) {
-      out.add_send(start, from, to, 0);
-    } else {
-      // Section 4.2: the child's value departs at B - label(child).
-      out.add_send(completion_ - (start + T_), to, from, 0);
-    }
+  for_each_send([&](Time start, ProcId from, ProcId to) {
+    out.add_send(start, from, to, 0);
   });
   out.sort();
   return out;

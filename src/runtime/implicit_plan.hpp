@@ -127,6 +127,13 @@ class ImplicitPlan {
   /// (out-degrees of all supported trees are O(log P)).
   [[nodiscard]] RankSchedule rank_schedule(ProcId proc) const;
 
+  /// The plan's sends, one per tree edge, in the order of the top-down walk
+  /// that to_schedule and to_tree share: parents in node-index order, each
+  /// parent's children in rank order.  A broadcast send runs parent ->
+  /// child; a reduction's runs child -> parent, so there each parent's
+  /// receives come in reverse walk order.  O(P) time and output.
+  [[nodiscard]] std::vector<SendOp> edge_sends() const;
+
   /// The whole schedule, equal to the per-node builder's: one O(P)
   /// top-down walk plus a sort.  Large-P callers should stay implicit.
   [[nodiscard]] Schedule to_schedule() const;
@@ -142,6 +149,9 @@ class ImplicitPlan {
   /// rank): parents in index order, each parent's children in rank order.
   template <class Visit>
   void for_each_edge(Visit&& visit) const;
+  /// for_each_edge in plan direction: emit(start, from, to) per send.
+  template <class Emit>
+  void for_each_send(Emit&& emit) const;
 
   void build_optimal_tables();
   void build_binomial_tables();
@@ -156,6 +166,9 @@ class ImplicitPlan {
   };
   /// One decode resolving label, parent index and child rank together.
   [[nodiscard]] OptParent optimal_parent(std::int64_t node) const;
+  /// child(node, rank) given the node's label `ell`.
+  [[nodiscard]] std::int64_t optimal_child(std::int64_t node, Time ell,
+                                           int rank) const;
 
   // Binomial helpers.  A subtree of `size` nodes peels off halves of what
   // remains: its rank-j child roots floor(r_j / 2) nodes, where

@@ -1,6 +1,7 @@
 #include "sum/summation_tree.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace logpc::sum {
@@ -79,35 +80,117 @@ SummationPlan optimal_summation(const Params& params, Time t) {
   // A node at label d contributes S - (o+1)k... net S - o = t - d - o
   // operands beyond its reception cost, so nodes with d > t - o subtract
   // from the total: restrict to labels <= t - o (the root, label 0, always
-  // participates - with t < o it still sums t + 1 operands alone).
-  const Time horizon = std::max<Time>(0, t - params.o);
+  // participates - with t < o it still sums t + 1 operands alone).  Past
+  // B(P) of the reversed machine all P processors are reachable, so the
+  // count never needs a longer table than that.
+  const Time horizon = std::min(std::max<Time>(0, t - params.o),
+                                bcast::B_of_P(rev, params.P));
   const Count avail = bcast::reachable(rev, horizon);
   const int n_nodes =
       static_cast<int>(std::min<Count>(avail, static_cast<Count>(params.P)));
   return plan_from_tree(params, BroadcastTree::optimal(rev, n_nodes), t);
 }
 
+namespace {
+
+/// Lemma 5.1 summed over the optimal plan without building it.  The n
+/// participants are the n cheapest nodes of the (L+1, o, g) universal tree
+/// with label <= t - o, and they have n - 1 receptions between them, so
+///
+///   max_operands(t) = n(t + 1) - sum(labels) - (o + 1)(n - 1)
+///                   = n(t - o) - sum(labels) + o + 1.
+///
+/// The tables stop at B = B(P) of the reversed machine: from t = B + o on,
+/// the participants are the same P nodes and the count is affine in t.
+class OperandCount {
+ public:
+  explicit OperandCount(const Params& params)
+      : o_(params.o), P_(static_cast<Count>(params.P)) {
+    params.require_valid();
+    if (params.g < params.o + 1) {
+      throw std::invalid_argument(
+          "summation: requires g >= o + 1 (a reception's o+1 cycles must fit "
+          "inside one gap)");
+    }
+    const Params rev = reversal_params(params);
+    nodes_ = bcast::reachable_prefix(rev, bcast::B_of_P(rev, params.P));
+    label_sum_.resize(nodes_.size());
+    Count sum = 0;
+    for (std::size_t u = 0; u < nodes_.size(); ++u) {
+      const Count at_u = nodes_[u] - (u == 0 ? Count{0} : nodes_[u - 1]);
+      sum += at_u * u;
+      label_sum_[u] = sum;
+    }
+  }
+
+  /// max_operands(params, t) for t >= 0, saturating at kSaturated exactly
+  /// as plan_from_tree's running sat_add does.
+  [[nodiscard]] Count at(Time t) const {
+    if (t < o_) return static_cast<Count>(t) + 1;  // the root alone
+    const Time horizon = t - o_;
+    const auto u = static_cast<std::size_t>(
+        std::min<Time>(horizon, last_label()));
+    const Count n = std::min(nodes_[u], P_);
+    // Nodes past the P-th all carry label u (only possible at u = B).
+    const Count labels = label_sum_[u] - (nodes_[u] - n) * u;
+    Count spans = 0;  // n(t - o) >= labels: every counted label is <= t - o
+    if (__builtin_mul_overflow(n, static_cast<Count>(horizon), &spans)) {
+      return kSaturated;
+    }
+    return sat_add(spans - labels, static_cast<Count>(o_) + 1);
+  }
+
+  /// min_time_for_operands(params, n) for n >= 1.
+  [[nodiscard]] Time min_time(Count n) const {
+    const Time full = last_label() + o_;  // first t with all P nodes in
+    if (at(full) >= n) {
+      Time lo = 0;
+      Time hi = full;
+      while (lo < hi) {
+        const Time mid = lo + (hi - lo) / 2;
+        if (at(mid) >= n) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      return lo;
+    }
+    // Least t with P(t - o) - labels + o + 1 >= n, i.e.
+    // t - o = ceil((n - o - 1 + labels) / P), split so nothing overflows
+    // (n > at(full) >= o + 1).
+    const auto B = static_cast<std::size_t>(last_label());
+    const Count labels = label_sum_[B] - (nodes_[B] - P_) * B;
+    const Count need = n - (static_cast<Count>(o_) + 1);
+    const Count span = need / P_ + (need % P_ + labels + P_ - 1) / P_;
+    if (span > static_cast<Count>(std::numeric_limits<Time>::max() - o_)) {
+      throw std::invalid_argument(
+          "min_time_for_operands: deadline exceeds the Time range");
+    }
+    return o_ + static_cast<Time>(span);
+  }
+
+ private:
+  [[nodiscard]] Time last_label() const {
+    return static_cast<Time>(nodes_.size()) - 1;
+  }
+
+  Time o_;
+  Count P_;
+  std::vector<Count> nodes_;      ///< N(u) of the reversed machine, u <= B
+  std::vector<Count> label_sum_;  ///< sum of the labels counted in nodes_[u]
+};
+
+}  // namespace
+
 Count max_operands(const Params& params, Time t) {
-  return optimal_summation(params, t).total_operands;
+  if (t < 0) throw std::invalid_argument("max_operands: t >= 0");
+  return OperandCount(params).at(t);
 }
 
 Time min_time_for_operands(const Params& params, Count n) {
   if (n < 1) throw std::invalid_argument("min_time_for_operands: n >= 1");
-  Time lo = 0;
-  Time hi = 1;
-  while (max_operands(params, hi) < n) {
-    lo = hi;
-    hi *= 2;
-  }
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (max_operands(params, mid) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  return OperandCount(params).min_time(n);
 }
 
 }  // namespace logpc::sum

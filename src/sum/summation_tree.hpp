@@ -72,20 +72,31 @@ struct SummationPlan {
 
 /// Builds the optimal plan: the maximum-operand summation finishing by
 /// cycle t on `params` (uses at most params.P processors; fewer when the
-/// (L+1,o,g) broadcast tree has fewer than P nodes with label <= t).
-/// Requires params.g >= params.o + 1 and t >= 0.
+/// (L+1,o,g) broadcast tree has fewer than P nodes with label <= t - o).
+/// O(P log P) however large t is.  Requires params.g >= params.o + 1 and
+/// t >= 0.
 [[nodiscard]] SummationPlan optimal_summation(const Params& params, Time t);
 
 /// The latency-shifted machine whose broadcast trees correspond to lazy
 /// summations on `params` (L+1, same o, g, P).
 [[nodiscard]] Params reversal_params(const Params& params);
 
-/// Maximum number of operands summable in t cycles (Lemma 5.1 applied to
-/// the optimal plan).
+/// Maximum number of operands summable in t cycles: Lemma 5.1 summed over
+/// the optimal plan in closed form, without building it.  With n the
+/// participant count, min(N(t - o), P) on the (L+1, o, g) machine, the n
+/// cheapest universal-tree labels and their n - 1 receptions give
+///   n(t + 1) - sum(labels) - (o + 1)(n - 1),
+/// saturating at kSaturated exactly like optimal_summation's
+/// total_operands.  Its tables stop at B = B(P) of the (L+1) machine, so
+/// the cost depends on P, not on t.  Requires g >= o + 1 and t >= 0.
 [[nodiscard]] Count max_operands(const Params& params, Time t);
 
-/// Minimum t with max_operands(params, t) >= n (binary search on the
-/// monotone max_operands).
+/// Minimum t with max_operands(params, t) >= n, from the same closed form:
+/// a binary search over t <= B + o, then one division, since from
+/// t = B + o on all P processors participate and the count grows by P per
+/// cycle.  Cost independent of n.  Beyond kSaturated the count is exact
+/// (the deadline still reaches n); throws std::invalid_argument when the
+/// deadline would not fit in Time, for n < 1, or when g < o + 1.
 [[nodiscard]] Time min_time_for_operands(const Params& params, Count n);
 
 }  // namespace logpc::sum

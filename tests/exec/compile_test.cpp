@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -80,8 +81,8 @@ std::vector<std::shared_ptr<Planner>> planners() {
 }
 
 /// Field-by-field equality.  With `same_link_ids` false, instructions
-/// compare by link endpoints instead of index: compile_implicit interns
-/// links rank-major, the schedule lowerings in send order.
+/// compare by link endpoints instead of index: compile_implicit numbers
+/// links in tree-walk order, the schedule lowerings in send order.
 void expect_same_program(const Program& a, const Program& b,
                          bool same_link_ids = true) {
   EXPECT_EQ(a.params, b.params);
@@ -265,6 +266,32 @@ TEST(ExecCompileRejectsKeys, MaskedSummationThrows) {
   const runtime::PlanPtr plan =
       planner.plan(PlanKey::make(Problem::kSummation, m, 20, 0, 0x7full));
   EXPECT_THROW((void)compile(*plan), std::invalid_argument);
+}
+
+TEST(ExecCompileRejectsKeys, SummationChunksWiderThanInt32Throw) {
+  // n = 1e15 on four processors plans in closed form (deadline 2.5e14), but
+  // each local chunk is ~2.5e14 operands: more than an Instr::count holds.
+  Planner planner;
+  const runtime::PlanPtr plan = planner.plan(
+      PlanKey::summation(Params{4, 4, 1, 2}, 1'000'000'000'000'000));
+  EXPECT_EQ(plan->completion, 250'000'000'000'008);
+  EXPECT_THROW((void)compile(*plan), std::invalid_argument);
+}
+
+TEST(ExecCompileRejectsKeys, SummationSenderWithTwoPeersThrows) {
+  // Links are numbered by sender, so a plan in which one processor's
+  // partial sum is expected at two places is refused, not mis-linked.
+  const Params m{8, 3, 1, 2};
+  sum::SummationPlan plan = sum::optimal_summation(m, 20);
+  ASSERT_NO_THROW((void)compile_summation(plan));
+  ASSERT_FALSE(plan.procs[0].recv_from.empty());
+  const auto inner = std::find_if(
+      plan.procs.begin() + 1, plan.procs.end(),
+      [](const sum::ProcPlan& pp) { return !pp.recv_from.empty(); });
+  ASSERT_NE(inner, plan.procs.end());
+  // The root's first child now also "sends" to an inner processor.
+  inner->recv_from[0] = plan.procs[0].recv_from[0];
+  EXPECT_THROW((void)compile_summation(plan), std::invalid_argument);
 }
 
 TEST(ExecCompileRejectsKeys, WideItemCountNeverReachesALowering) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <sstream>
@@ -314,6 +315,62 @@ TEST(ImplicitPlan, CompiledStreamsMatchTheMaterializedCompilers) {
         expect_same_streams(exec::compile_implicit(plan),
                             exec::compile_reduction(rp));
       }
+    }
+  }
+}
+
+TEST(ImplicitPlan, CompiledStreamsMatchAtSixtyFourThousandRanks) {
+  // The suites above stop at a few thousand ranks; the one-walk lowering
+  // must agree at the top of the served range too.
+  const Params m{1 << 16, 6, 1, 2};
+  const ProcId root = 12345;
+  {
+    const ImplicitPlan plan = ImplicitPlan::build(PlanKey::broadcast(m, root));
+    expect_same_streams(exec::compile_implicit(plan),
+                        exec::compile_broadcast(plan.to_schedule()));
+  }
+  {
+    const ImplicitPlan plan = ImplicitPlan::build(PlanKey::reduce(m, root));
+    bcast::ReductionPlan rp;
+    rp.params = m;
+    rp.root = root;
+    rp.schedule = plan.to_schedule();
+    rp.completion = plan.completion();
+    expect_same_streams(exec::compile_implicit(plan),
+                        exec::compile_reduction(rp));
+  }
+  {
+    const ImplicitPlan plan = ImplicitPlan::build(
+        PlanKey::make(Problem::kBinomialBroadcast, m, 1, root));
+    expect_same_streams(exec::compile_implicit(plan),
+                        exec::compile_broadcast(plan.to_schedule()));
+  }
+}
+
+TEST(ImplicitPlan, EdgeSendsWalkParentsInIndexOrder) {
+  for (const Problem problem : kImplicitProblems) {
+    const PlanKey key = PlanKey::make(problem, Params{37, 3, 1, 2}, 1, 5);
+    const ImplicitPlan plan = ImplicitPlan::build(key);
+    const std::vector<SendOp> sends = plan.edge_sends();
+    ASSERT_EQ(sends.size(), 36u) << key.to_string();
+    // The same sends as the schedule, before its sort.
+    std::vector<SendOp> sorted = sends;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<SendOp> whole = plan.to_schedule().sends();
+    std::sort(whole.begin(), whole.end());
+    EXPECT_EQ(sorted, whole) << key.to_string();
+    // Grouped by parent node in index order, children by rank.
+    std::int64_t last_parent = -1;
+    int rank = 0;
+    for (const SendOp& op : sends) {
+      const ProcId parent = plan.is_reduction() ? op.to : op.from;
+      const ProcId child = plan.is_reduction() ? op.from : op.to;
+      const std::int64_t node = plan.node_of_proc(parent);
+      ASSERT_GE(node, last_parent) << key.to_string();
+      rank = node == last_parent ? rank + 1 : 0;
+      last_parent = node;
+      EXPECT_EQ(plan.child(node, rank), plan.node_of_proc(child))
+          << key.to_string();
     }
   }
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "baselines/reduce_baselines.hpp"
 #include "sum/lazy.hpp"
@@ -148,6 +152,107 @@ TEST(Summation, RequiresGapAtLeastOverheadPlusOne) {
 
 TEST(Summation, RejectsNegativeTime) {
   EXPECT_THROW(optimal_summation(Params{4, 3, 0, 1}, -1),
+               std::invalid_argument);
+}
+
+/// Machines for the closed-form checks: P = 1, g = o + 1, o = 0 and a
+/// latency of 1 included.
+std::vector<Params> closed_form_machines() {
+  std::vector<Params> out;
+  for (const int P : {1, 2, 3, 4, 7, 16, 50}) {
+    for (const Time L : {1, 3, 5}) {
+      for (const Time o : {0, 1, 2}) {
+        for (const Time g : {o + 1, o + 3}) out.push_back(Params{P, L, o, g});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Summation, MaxOperandsClosedFormMatchesThePlan) {
+  for (const Params& m : closed_form_machines()) {
+    // Up to well past B(P) + o of the reversed machine, where every
+    // processor participates and the count turns affine in t; t < o too.
+    const Time full = bcast::B_of_P(reversal_params(m), m.P) + m.o;
+    std::vector<Time> ts;
+    for (Time t = 0; t <= full + 12; ++t) ts.push_back(t);
+    for (const Time t : {Time{1000}, Time{123457}, Time{1} << 40}) {
+      ts.push_back(t);
+    }
+    for (const Time t : ts) {
+      EXPECT_EQ(max_operands(m, t), optimal_summation(m, t).total_operands)
+          << m.to_string() << " t=" << t;
+    }
+  }
+}
+
+TEST(Summation, MaxOperandsSaturatesLikeThePlanSum) {
+  // P = 4: four partial sums of ~2^61 pass kSaturated; P = 50: n(t - o)
+  // no longer fits in 64 bits.
+  for (const auto& [m, t] : {std::pair{Params{4, 4, 1, 2}, Time{1} << 61},
+                             std::pair{Params{50, 3, 1, 2}, Time{1} << 62}}) {
+    const SummationPlan plan = optimal_summation(m, t);
+    EXPECT_EQ(plan.total_operands, kSaturated) << m.to_string();
+    EXPECT_EQ(max_operands(m, t), kSaturated) << m.to_string();
+  }
+}
+
+TEST(Summation, MinTimeMatchesALinearScan) {
+  constexpr Count kMaxN = 400;
+  for (const Params& m : closed_form_machines()) {
+    // least[n] = first t whose optimal plan sums at least n operands.
+    std::vector<Time> least;
+    for (Time t = 0; least.size() < kMaxN; ++t) {
+      const Count total = optimal_summation(m, t).total_operands;
+      while (least.size() < std::min(total, kMaxN)) least.push_back(t);
+    }
+    for (Count n = 1; n <= kMaxN; ++n) {
+      ASSERT_EQ(min_time_for_operands(m, n), least[n - 1])
+          << m.to_string() << " n=" << n;
+    }
+  }
+}
+
+TEST(Summation, HugeOperandCountsSolveInClosedForm) {
+  // Past B(P) + o the plan keeps the same P processors, so
+  // max_operands(t) = P(t - o) - sum(labels) + o + 1 and the deadline is
+  // one division - no t-sized table (t is 2.5e14 here).
+  const Params m{4, 4, 1, 2};
+  const Count n = 1'000'000'000'000'000;
+  const auto tree = bcast::BroadcastTree::optimal(reversal_params(m), m.P);
+  Count labels = 0;
+  for (const auto& node : tree.nodes()) labels += static_cast<Count>(node.label);
+  const auto P = static_cast<Count>(m.P);
+  const auto o = static_cast<Count>(m.o);
+  const Time expected =
+      m.o + static_cast<Time>((n - o - 1 + labels + P - 1) / P);
+  EXPECT_EQ(expected, 250'000'000'000'008);
+  const Time t = min_time_for_operands(m, n);
+  EXPECT_EQ(t, expected);
+  EXPECT_GE(max_operands(m, t), n);
+  EXPECT_LT(max_operands(m, t - 1), n);
+  const SummationPlan plan = optimal_summation(m, t);
+  EXPECT_EQ(plan.procs.size(), 4u);
+  EXPECT_EQ(plan.total_operands, max_operands(m, t));
+
+  // One processor sums t + 1 operands: the largest n still has a deadline,
+  // a larger one would not fit in Time.
+  const Count top = std::numeric_limits<Time>::max();
+  EXPECT_EQ(min_time_for_operands(Params{1, 2, 0, 1}, top),
+            std::numeric_limits<Time>::max() - 1);
+  EXPECT_THROW((void)min_time_for_operands(Params{1, 2, 0, 1},
+                                           std::numeric_limits<Count>::max()),
+               std::invalid_argument);
+}
+
+TEST(Summation, OperandCountsRejectWhatThePlanRejects) {
+  EXPECT_THROW((void)max_operands(Params{4, 3, 2, 2}, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)max_operands(Params{4, 3, 0, 1}, -1),
+               std::invalid_argument);
+  EXPECT_THROW((void)min_time_for_operands(Params{4, 3, 2, 2}, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)min_time_for_operands(Params{4, 3, 0, 1}, 0),
                std::invalid_argument);
 }
 
