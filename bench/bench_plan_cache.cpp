@@ -233,8 +233,9 @@ void report() {
   // Every family's materialized schedule comes from its decoder's
   // to_schedule(), and its Program from compile_implicit's one edge walk;
   // one row each, so a decoder or lowering slowdown in any family shows.
-  // The summation row times the Section 5 path the same way: the planner's
-  // build (deadline search + optimal plan) and exec::compile.
+  // The summation row times the Section 5 path the same way (its decoder,
+  // the reversed (L+1) tree) and adds the decoder's footprint at P = 2^20,
+  // where the planner keeps it implicit-only.
   logpc::bench::section(
       "plan-build and compile latency per family (P = 2^16, median of 5)");
   {
@@ -274,10 +275,19 @@ void report() {
     const auto [build_ms, compile_ms] =
         time_key(PlanKey::summation(m, n));
     grid.row("summation (n = 2P)", build_ms, compile_ms);
+    const Params big{1 << 20, m.L, m.o, m.g};
+    const std::size_t implicit_bytes =
+        runtime::ImplicitPlan::build(
+            PlanKey::summation(big, 2 * static_cast<std::int64_t>(big.P)))
+            .memory_bytes();
     json.entry("summation_build",
                {{"P", std::to_string(m.P)}, {"n", std::to_string(n)}},
-               {{"build_ms", build_ms}, {"compile_ms", compile_ms}});
+               {{"build_ms", build_ms},
+                {"compile_ms", compile_ms},
+                {"implicit_bytes", static_cast<double>(implicit_bytes)}});
     grid.print();
+    std::cout << "summation implicit bytes at P = 2^20 (n = 2P): "
+              << implicit_bytes << "\n";
   }
 
   // ---- million-rank smoke: plan, simulate, query ------------------------

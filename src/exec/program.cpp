@@ -203,8 +203,138 @@ Program relabel_swapped(Program program, ProcId a, ProcId b) {
   return program;
 }
 
+namespace {
+
+/// The kSum stream writer both summation lowerings share.  Every
+/// participant sends at most once, so its sender names its link; ids go out
+/// in first-use order.
+class SumStreams {
+ public:
+  SumStreams(const Params& params, Time deadline, std::string label)
+      : link_of_(static_cast<std::size_t>(params.P), -1) {
+    params.require_valid();
+    prog_.params = params;
+    prog_.mode = Mode::kSum;
+    prog_.label = std::move(label);
+    prog_.num_items = 1;
+    prog_.predicted_makespan = deadline;
+    prog_.procs.resize(static_cast<std::size_t>(params.P));
+    for (std::size_t p = 0; p < prog_.procs.size(); ++p) {
+      prog_.procs[p].proc = static_cast<ProcId>(p);
+    }
+  }
+
+  /// Opens `proc`'s stream as plan participant `index`, sized for
+  /// `reserve` instructions.
+  ProcProgram& open(ProcId proc, std::int64_t index, std::size_t reserve) {
+    ProcProgram& stream = prog_.procs[static_cast<std::size_t>(proc)];
+    stream.sum_index = static_cast<std::int32_t>(index);
+    stream.instrs.reserve(reserve);
+    return stream;
+  }
+
+  /// Folds `count` local operands (nothing when 0).
+  static void chunk(ProcProgram& stream, std::size_t count, Time when) {
+    stream.num_operands += count;
+    if (count == 0) return;
+    if (count > static_cast<std::size_t>(
+                    std::numeric_limits<std::int32_t>::max())) {
+      throw std::invalid_argument(
+          "exec::compile_summation: P" + std::to_string(stream.proc) +
+          " folds a local chunk of " + std::to_string(count) +
+          " operands; an instruction holds at most INT32_MAX");
+    }
+    stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
+                                  static_cast<std::int32_t>(count), -1,
+                                  when});
+  }
+
+  void recv(ProcProgram& stream, ProcId from, Time when) {
+    stream.instrs.push_back(
+        Instr{OpCode::kRecv, from, 0, 0, link(from, stream.proc), when});
+  }
+
+  void send(ProcProgram& stream, ProcId to, Time when) {
+    stream.instrs.push_back(
+        Instr{OpCode::kSend, to, 0, 0, link(stream.proc, to), when});
+    ++prog_.num_messages;
+  }
+
+  Program take() { return std::move(prog_); }
+
+ private:
+  std::int32_t link(ProcId from, ProcId to) {
+    std::int32_t& id = link_of_[static_cast<std::size_t>(from)];
+    if (id < 0) {
+      id = static_cast<std::int32_t>(prog_.links.size());
+      prog_.links.push_back(Link{from, to});
+    } else if (prog_.links[static_cast<std::size_t>(id)].to != to) {
+      throw std::invalid_argument("exec::compile_summation: P" +
+                                  std::to_string(from) +
+                                  " sends to two processors");
+    }
+    return id;
+  }
+
+  Program prog_;
+  std::vector<std::int32_t> link_of_;
+};
+
+/// compile_implicit for a summation: one pass over the decoder's edges,
+/// which come grouped by parent in node order, children in rank order.  A
+/// participant folds a local chunk, then for each child in descending rank
+/// (ascending arrival) receives its partial sum and folds the next chunk,
+/// then sends.  Lemma 5.1 sizes the chunks from the reception times alone:
+/// R0 + 1 operands before the first reception, g - o - 1 between two, none
+/// after the last (it ends exactly at the send).
+Program compile_decoded_summation(const runtime::ImplicitPlan& plan,
+                                  std::string label) {
+  const Params& params = plan.params();
+  const Time t = plan.completion();
+  SumStreams out(params, t, std::move(label));
+  const std::vector<SendOp> sends = plan.edge_sends();  // child -> parent
+  // up[node]: the edge carrying the node's partial sum to its parent, set
+  // when the parent (an earlier node) receives it.
+  std::vector<std::size_t> up(static_cast<std::size_t>(plan.num_nodes()));
+  std::size_t e = 0;
+  for (std::int64_t node = 0; node < plan.num_nodes(); ++node) {
+    const ProcId proc = plan.proc_of_node(node);
+    std::size_t end = e;
+    while (end < sends.size() && sends[end].to == proc) ++end;
+    ProcProgram& stream = out.open(proc, node, 2 * (end - e) + 2);
+    const SendOp* parent =
+        node == 0 ? nullptr : &sends[up[static_cast<std::size_t>(node)]];
+    const Time departs = parent == nullptr ? t : parent->start;
+    // A reception starts L + o after its send and, with its addition,
+    // holds the accumulator for o + 1 cycles.  Seeding the accumulator
+    // costs no addition, hence the first chunk's extra operand.
+    Time resume = -1;
+    Time when = 0;
+    for (std::size_t j = end; j-- > e;) {
+      const Time r = sends[j].start + params.L + params.o;
+      SumStreams::chunk(stream, static_cast<std::size_t>(r - resume), when);
+      out.recv(stream, sends[j].from, r);
+      up[static_cast<std::size_t>(plan.node_of_proc(sends[j].from))] = j;
+      resume = r + params.o + 1;
+      when = r;
+    }
+    SumStreams::chunk(stream, static_cast<std::size_t>(departs - resume),
+                      when);
+    if (parent != nullptr) out.send(stream, parent->to, departs);
+    e = end;
+  }
+  // Each link carries one message, so every receive keeps chain = 1.
+  return out.take();
+}
+
+}  // namespace
+
 Program compile_implicit(const runtime::ImplicitPlan& plan,
                          std::string label) {
+  if (plan.is_summation()) {
+    return compile_decoded_summation(
+        plan, label.empty() ? "summation" : std::move(label));
+  }
   const Params& params = plan.params();
   params.require_valid();
   const auto P = static_cast<std::size_t>(params.P);
@@ -271,70 +401,22 @@ Program compile_implicit(const runtime::ImplicitPlan& plan,
 }
 
 Program compile_summation(const sum::SummationPlan& plan) {
-  plan.params.require_valid();
-  const auto P = static_cast<std::size_t>(plan.params.P);
-  Program prog;
-  prog.params = plan.params;
-  prog.mode = Mode::kSum;
-  prog.label = "summation";
-  prog.num_items = 1;
-  prog.predicted_makespan = plan.t;
-  prog.procs.resize(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-  }
-
-  // Every participant sends at most once, so its sender names its link;
-  // ids go out in first-use order.
-  std::vector<std::int32_t> link_of(P, -1);
-  const auto link = [&](ProcId from, ProcId to) {
-    std::int32_t& id = link_of[static_cast<std::size_t>(from)];
-    if (id < 0) {
-      id = static_cast<std::int32_t>(prog.links.size());
-      prog.links.push_back(Link{from, to});
-    } else if (prog.links[static_cast<std::size_t>(id)].to != to) {
-      throw std::invalid_argument("exec::compile_summation: P" +
-                                  std::to_string(from) +
-                                  " sends to two processors");
-    }
-    return id;
-  };
+  SumStreams out(plan.params, plan.t, "summation");
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const sum::ProcPlan& pp = plan.procs[i];
-    const auto p = static_cast<std::size_t>(pp.proc);
-    ProcProgram& stream = prog.procs[p];
-    stream.sum_index = static_cast<std::int32_t>(i);
-    stream.num_operands = layout[i].total();
     const auto& chunks = layout[i].chunk_sizes;
-    stream.instrs.reserve(chunks.size() + pp.recv_from.size() + 1);
-    auto add_chunk = [&stream, &pp](std::size_t count, Time when) {
-      if (count == 0) return;
-      if (count > static_cast<std::size_t>(
-                      std::numeric_limits<std::int32_t>::max())) {
-        throw std::invalid_argument(
-            "exec::compile_summation: P" + std::to_string(pp.proc) +
-            " folds a local chunk of " + std::to_string(count) +
-            " operands; an instruction holds at most INT32_MAX");
-      }
-      stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
-                                    static_cast<std::int32_t>(count), -1,
-                                    when});
-    };
-    add_chunk(chunks[0], 0);
+    ProcProgram& stream = out.open(
+        pp.proc, static_cast<std::int64_t>(i),
+        chunks.size() + pp.recv_from.size() + 1);
+    SumStreams::chunk(stream, chunks[0], 0);
     for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
-      stream.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
-                                    link(pp.recv_from[j], pp.proc),
-                                    pp.recv_times[j]});
-      add_chunk(chunks[j + 1], pp.recv_times[j]);
+      out.recv(stream, pp.recv_from[j], pp.recv_times[j]);
+      SumStreams::chunk(stream, chunks[j + 1], pp.recv_times[j]);
     }
-    if (pp.send_to != kNoProc) {
-      stream.instrs.push_back(Instr{OpCode::kSend, pp.send_to, 0, 0,
-                                    link(pp.proc, pp.send_to),
-                                    pp.send_time});
-      ++prog.num_messages;
-    }
+    if (pp.send_to != kNoProc) out.send(stream, pp.send_to, pp.send_time);
   }
+  Program prog = out.take();
   annotate_recv_chains(prog);
   return prog;
 }
@@ -366,13 +448,14 @@ Program compile(const runtime::Plan& plan) {
       break;
     case Problem::kSummation:
       // The cached schedule is only the summation's timing view; the
-      // operand layout comes from the plan it was built from.
+      // operand layout comes from the decoder.
       if (key.mask != 0) {
         throw std::invalid_argument(
             "exec::compile: masked summation plans have no lowering");
       }
-      return compile_summation(
-          sum::optimal_summation(key.params, plan.completion));
+      return plan.implicit
+                 ? compile_implicit(*plan.implicit)
+                 : compile_implicit(runtime::ImplicitPlan::build(key));
     default:
       throw std::invalid_argument("exec::compile: " + key.to_string() +
                                   " has no execution semantics");

@@ -114,9 +114,9 @@ struct Program {
 ///   summation                           kSum   "summation"
 ///
 /// The implicit generator form is lowered when the plan carries one
-/// (compile_implicit), the materialized schedule otherwise; summation is
-/// rebuilt from the key's machine and the plan's completion time
-/// (compile_summation), since the cached schedule is only its timing view.
+/// (compile_implicit), the materialized schedule otherwise.  Summation is
+/// always lowered from its decoder (built from the key if the plan lacks
+/// one), since the cached schedule is only its timing view.
 /// predicted_makespan is plan.completion.  A k-item plan is root-
 /// normalized (root 0); serving another root is relabel_swapped's job.
 /// Throws std::invalid_argument for problems with no execution semantics
@@ -147,8 +147,10 @@ struct Program {
 /// compile_reduction run on the materialized schedule for the same key.
 /// Link *indices* differ — one link per tree edge, numbered in walk order
 /// rather than global send order — but the link endpoints, stream order
-/// and timings agree, so engine results are byte-identical.  `label`
-/// defaults to "bcast" / "reduce" by plan kind.
+/// and timings agree, so engine results are byte-identical.  A summation
+/// plan lowers to exactly compile_summation(sum::optimal_summation(...))'s
+/// program, link ids included, with the same checks.  `label` defaults to
+/// "bcast" / "reduce" / "summation" by plan kind.
 [[nodiscard]] Program compile_implicit(const runtime::ImplicitPlan& plan,
                                        std::string label = {});
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "sum/summation_tree.hpp"
+
 namespace logpc::runtime {
 
 namespace {
@@ -26,6 +28,7 @@ bool ImplicitPlan::supports(const PlanKey& key) {
   switch (key.problem) {
     case Problem::kBroadcast:
     case Problem::kReduce:
+    case Problem::kSummation:
     case Problem::kBinomialBroadcast:
     case Problem::kBinaryBroadcast:
     case Problem::kChainBroadcast:
@@ -50,8 +53,26 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
       plan.family_ = Family::kOptimal;
       plan.method_ = plan.reverse_ ? "reversed optimal tree (Sec 4.2)"
                                    : "optimal tree (Thm 2.1)";
-      plan.build_optimal_tables();
+      plan.build_optimal_tables(bcast::reachable_prefix(
+          key.params, bcast::B_of_P(key.params, key.params.P)));
+      plan.completion_ = static_cast<Time>(plan.cum_.size()) - 1;
       break;
+    case Problem::kSummation: {
+      // Section 5: the optimal (L+1, o, g) tree on the n' processors worth
+      // their receptions, reversed against the least deadline for n.
+      sum::SummationShape shape =
+          sum::summation_shape(key.params, static_cast<Count>(key.k));
+      plan.reverse_ = true;
+      plan.summation_ = true;
+      plan.family_ = Family::kOptimal;
+      plan.method_ = "reversed (L+1) tree (Sec 5)";
+      plan.P_ = shape.participants;
+      plan.T_ = sum::reversal_params(key.params).transfer_time();
+      plan.build_optimal_tables(std::move(shape.reachable));
+      plan.completion_ = shape.t;
+      plan.total_operands_ = static_cast<std::uint64_t>(shape.total_operands);
+      break;
+    }
     case Problem::kBinomialBroadcast:
       plan.family_ = Family::kBinomial;
       plan.method_ = "binomial tree";
@@ -96,9 +117,8 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
 //    strided table strided_[t] = cnt(t) + strided_[t - g] gives running
 //    class totals in O(1), leaving one binary search per decode.
 
-void ImplicitPlan::build_optimal_tables() {
-  completion_ = bcast::B_of_P(key_.params, key_.params.P);
-  cum_ = bcast::reachable_prefix(key_.params, completion_);
+void ImplicitPlan::build_optimal_tables(std::vector<Count> cum) {
+  cum_ = std::move(cum);
   strided_.resize(cum_.size());
   const auto stride = static_cast<std::size_t>(g_);
   for (std::size_t t = 0; t < cum_.size(); ++t) {
@@ -149,7 +169,8 @@ ImplicitPlan::OptParent ImplicitPlan::optimal_parent(std::int64_t node) const {
 std::int64_t ImplicitPlan::optimal_child(std::int64_t node, Time ell,
                                          int rank) const {
   const Time c = ell + T_ + static_cast<Time>(rank) * g_;
-  if (c > completion_) return -1;  // label beyond B: outside B(P)
+  // Label beyond B(P_) = the last table entry: outside the tree.
+  if (c >= static_cast<Time>(cum_.size())) return -1;
   const Count before_classes =
       ell >= g_ ? strided_[static_cast<std::size_t>(ell - g_)] : Count{0};
   const Count idx = nodes_through(c - 1) + before_classes +
@@ -368,14 +389,19 @@ std::int64_t ImplicitPlan::node_of_proc(ProcId proc) const {
   }
   const ProcId root = key_.root;
   if (proc == root) return 0;
-  return proc < root ? static_cast<std::int64_t>(proc) + 1
-                     : static_cast<std::int64_t>(proc);
+  const std::int64_t node = proc < root ? static_cast<std::int64_t>(proc) + 1
+                                        : static_cast<std::int64_t>(proc);
+  return node < P_ ? node : -1;  // only a summation has fewer nodes than P
 }
 
 RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
   RankSchedule rs;
   rs.proc = proc;
   rs.node = node_of_proc(proc);
+  if (rs.node < 0) {  // idle in the summation: no parent, no ops
+    rs.parent_node = -1;
+    return rs;
+  }
   const Time lab = label(rs.node);
   rs.parent_node = parent(rs.node);
   rs.child_rank = child_rank(rs.node);
@@ -395,6 +421,7 @@ RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
     // Reversal (Section 4.2): the broadcast send parent->child at tau
     // becomes child->parent at B - label(child); descending child rank is
     // ascending arrival time, and every receive precedes this node's send.
+    // A summation reverses against its deadline t (Section 5) instead.
     const Time B = completion_;
     rs.informed_at = B - lab;
     for (int i = kids; i-- > 0;) {
@@ -461,7 +488,8 @@ void ImplicitPlan::for_each_send(Emit&& emit) const {
     if (!reverse_) {
       emit(start, from, to);
     } else {
-      // Section 4.2: the child's value departs at B - label(child).
+      // Section 4.2: the child's value departs at B - label(child) (at
+      // t - label(child) in a summation).
       emit(completion_ - (start + T_), to, from);
     }
   });
@@ -495,7 +523,8 @@ bcast::BroadcastTree ImplicitPlan::to_tree() const {
   for_each_edge([&](std::int64_t parent, Time, std::int64_t child, int) {
     parents[static_cast<std::size_t>(child)] = static_cast<int>(parent);
   });
-  return bcast::BroadcastTree::from_parents(key_.params, parents);
+  return bcast::BroadcastTree::from_parents(
+      summation_ ? sum::reversal_params(key_.params) : key_.params, parents);
 }
 
 std::size_t ImplicitPlan::memory_bytes() const {

@@ -18,8 +18,9 @@
 /// The one generator of the regular collective plans.
 ///
 /// For the *regular* trees — the Section 2 optimal tree, its reversal (the
-/// Section 4.2 reduction), and the binomial / binary / chain baselines —
-/// the whole structure is determined by (P, L, o, g), and any single
+/// Section 4.2 reduction), the Section 5 summation, and the binomial /
+/// binary / chain baselines — the whole structure is determined by
+/// (P, L, o, g) (and, for the summation, n), and any single
 /// rank's role can be recovered from the counting recurrences alone
 /// (Träff, "Optimal Broadcast Schedules in Logarithmic Time",
 /// arXiv:2407.18004).  An ImplicitPlan stores only those recurrence
@@ -42,10 +43,18 @@
 ///  * binary / chain: closed-form heap / successor arithmetic.
 ///  * reduce: the same optimal-tree decode, emitted time-reversed
 ///    (a parent->child send at tau becomes child->parent at B - label).
+///  * summation: the optimal-tree decode on the (L+1, o, g) machine,
+///    truncated to the n' cheapest nodes worth their receptions
+///    (sum::summation_shape: t = sum::min_time_for_operands, n' =
+///    min(N(t - o), P)) and emitted time-reversed against
+///    the deadline: the node at label d sends at t - d.  Lemma 5.1 gives
+///    its operands from d and its child count alone, so the operand layout
+///    needs no tree either; ranks >= n' idle.
 ///
-/// The Planner builds these five families from the decoder alone.  The
+/// The Planner builds these six families from the decoder alone.  The
 /// per-node builders (`BroadcastTree::optimal`, `bcast::optimal_reduction`,
-/// `baselines::*_tree`) stay as the paper API and the independent oracles:
+/// `sum::optimal_summation`, `baselines::*_tree`) stay as the paper API and
+/// the independent oracles:
 /// node indices follow their order, and the property suite asserts
 /// agreement node by node, schedule by schedule and instruction by
 /// instruction.
@@ -58,12 +67,15 @@ namespace logpc::runtime {
 /// sends by start cycle).
 struct RankSchedule {
   ProcId proc = kNoProc;
-  std::int64_t node = 0;          ///< tree-node index (0 = tree root)
+  /// Tree-node index (0 = tree root); -1 for a rank a summation leaves idle
+  /// (it then has no parent and no ops).
+  std::int64_t node = 0;
   std::int64_t parent_node = -1;  ///< -1 for the tree root
   ProcId parent = kNoProc;        ///< peer proc on the parent link
   int child_rank = 0;             ///< which child of the parent this node is
-  /// Broadcast: the cycle the item lands here (0 at the root).  Reduce:
-  /// the cycle this rank's accumulator departs (== completion at the root).
+  /// Broadcast: the cycle the item lands here (0 at the root).  Reduce and
+  /// summation: the cycle this rank's accumulator departs (== completion at
+  /// the root).
   Time informed_at = 0;
   std::vector<SendOp> recvs;  ///< inbound ops (op.to == proc), time order
   std::vector<SendOp> sends;  ///< outbound ops (op.from == proc), time order
@@ -74,24 +86,36 @@ struct RankSchedule {
 /// the Plan), query from any thread.
 class ImplicitPlan {
  public:
-  /// True iff `key` has an implicit form: kBroadcast, kReduce,
-  /// kBinomialBroadcast, kBinaryBroadcast or kChainBroadcast with full
-  /// membership (mask == 0).  Everything else falls back to the
-  /// materialized IR.
+  /// True iff `key` has an implicit form: one of the six families
+  /// kBroadcast, kReduce, kSummation, kBinomialBroadcast, kBinaryBroadcast
+  /// or kChainBroadcast, with full membership (mask == 0).  Everything else
+  /// falls back to the materialized IR.
   [[nodiscard]] static bool supports(const PlanKey& key);
 
   /// Builds the O(log P) tables for a supported key.  Throws
-  /// std::invalid_argument when !supports(key).
+  /// std::invalid_argument when !supports(key), and for a summation the
+  /// model cannot time (g < o + 1, or a deadline past the Time range).
   [[nodiscard]] static ImplicitPlan build(const PlanKey& key);
 
   [[nodiscard]] const PlanKey& plan_key() const { return key_; }
   [[nodiscard]] const Params& params() const { return key_.params; }
+  /// True when the plan's sends run child -> parent, time-reversed:
+  /// kReduce and kSummation.
   [[nodiscard]] bool is_reduction() const { return reverse_; }
+  [[nodiscard]] bool is_summation() const { return summation_; }
+  /// Nodes of the tree: P, except a summation's n' participants.
   [[nodiscard]] std::int64_t num_nodes() const { return P_; }
 
   /// The plan's exact completion cycle: B(P) for the optimal tree and its
-  /// reversal, the tree makespan for the baselines.
+  /// reversal, the tree makespan for the baselines, the deadline t for a
+  /// summation.
   [[nodiscard]] Time completion() const { return completion_; }
+
+  /// Summation: the operands summed by the deadline (Lemma 5.1,
+  /// sum::max_operands); 0 for the other families.
+  [[nodiscard]] std::uint64_t total_operands() const {
+    return total_operands_;
+  }
 
   /// The construction label a plan of this family carries (Plan::method).
   [[nodiscard]] const char* method() const { return method_; }
@@ -118,9 +142,11 @@ class ImplicitPlan {
 
   // --- proc mapping ------------------------------------------------------
   // BroadcastTree::to_schedule's root swap: node 0 maps to the key's root,
-  // the rest fill in index order skipping the root's id.
+  // the rest fill in index order skipping the root's id.  (A summation's
+  // root is 0, so there proc == node.)
 
   [[nodiscard]] ProcId proc_of_node(std::int64_t node) const;
+  /// The rank's node; -1 for a rank a summation leaves idle.
   [[nodiscard]] std::int64_t node_of_proc(ProcId proc) const;
 
   /// The full per-rank instruction pattern: O(log P) time and output size
@@ -130,14 +156,18 @@ class ImplicitPlan {
   /// The plan's sends, one per tree edge, in the order of the top-down walk
   /// that to_schedule and to_tree share: parents in node-index order, each
   /// parent's children in rank order.  A broadcast send runs parent ->
-  /// child; a reduction's runs child -> parent, so there each parent's
-  /// receives come in reverse walk order.  O(P) time and output.
+  /// child; a reduction's or summation's runs child -> parent, so there
+  /// each parent's receives come in reverse walk order.  O(P) time and
+  /// output.
   [[nodiscard]] std::vector<SendOp> edge_sends() const;
 
-  /// The whole schedule, equal to the per-node builder's: one O(P)
-  /// top-down walk plus a sort.  Large-P callers should stay implicit.
+  /// The whole schedule, equal to the per-node builder's (a summation's
+  /// is SummationPlan::timing_view): one O(P) top-down walk plus a sort.
+  /// Large-P callers should stay implicit.
   [[nodiscard]] Schedule to_schedule() const;
-  /// The tree, node for node the builder's BroadcastTree (same walk).
+  /// The tree, node for node the builder's BroadcastTree (same walk).  For
+  /// a summation that is the (L+1, o, g) tree it reverses,
+  /// SummationPlan::reversed_tree.
   [[nodiscard]] bcast::BroadcastTree to_tree() const;
 
  private:
@@ -153,7 +183,9 @@ class ImplicitPlan {
   template <class Emit>
   void for_each_send(Emit&& emit) const;
 
-  void build_optimal_tables();
+  /// Takes cum_ (N(t) of the tree's machine up to B(P_)) and derives
+  /// strided_ from it.
+  void build_optimal_tables(std::vector<Count> cum);
   void build_binomial_tables();
 
   // Optimal-tree helpers over the cumulative node-count table.
@@ -198,16 +230,21 @@ class ImplicitPlan {
 
   PlanKey key_;
   Family family_ = Family::kOptimal;
-  bool reverse_ = false;  ///< emit time-reversed (kReduce)
+  bool reverse_ = false;    ///< emit time-reversed (kReduce, kSummation)
+  bool summation_ = false;  ///< kSummation: reversed against the deadline
   const char* method_ = "";
-  std::int64_t P_ = 1;
-  Time T_ = 0;  ///< transfer time L + 2o
+  std::int64_t P_ = 1;  ///< tree nodes
+  Time T_ = 0;  ///< transfer time L + 2o of the tree's machine
   Time g_ = 1;
+  /// The anchor a reversed plan's sends are timed against (B, or the
+  /// summation deadline t).
   Time completion_ = 0;
+  std::uint64_t total_operands_ = 0;
 
   // kOptimal / reverse: cumulative node counts of the universal tree,
   // cum_[t] = N(t) for t in [0, B], plus the per-send-slot strided prefix
-  // sums strided_[t] = (N(t) - N(t-1)) + strided_[t - g].
+  // sums strided_[t] = (N(t) - N(t-1)) + strided_[t - g].  B = B(P_) is
+  // the deepest label in the tree.
   std::vector<Count> cum_;
   std::vector<Count> strided_;
 

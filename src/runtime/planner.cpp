@@ -15,7 +15,6 @@
 #include "obs/trace_recorder.hpp"
 #include "runtime/implicit_plan.hpp"
 #include "sched/metrics.hpp"
-#include "sum/summation_tree.hpp"
 
 namespace logpc::runtime {
 
@@ -322,12 +321,14 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
   Plan plan;
   plan.key = key;
   if (ImplicitPlan::supports(key)) {
-    // The decoder is the one generator of the regular trees: completion,
-    // method and (when materialized) the schedule all come from it.
+    // The decoder is the one generator of the regular trees and the
+    // summation: completion, method, operand count and (when materialized)
+    // the schedule all come from it.
     auto implicit =
         std::make_shared<const ImplicitPlan>(ImplicitPlan::build(key));
     plan.completion = implicit->completion();
     plan.method = implicit->method();
+    plan.total_operands = implicit->total_operands();
     plan.materialized = materialize;
     if (materialize) plan.schedule = implicit->to_schedule();
     plan.implicit = std::move(implicit);
@@ -340,6 +341,7 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
   switch (key.problem) {
     case Problem::kBroadcast:
     case Problem::kReduce:
+    case Problem::kSummation:
     case Problem::kBinomialBroadcast:
     case Problem::kBinaryBroadcast:
     case Problem::kChainBroadcast:
@@ -372,16 +374,6 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       plan.completion = port_schedule_completion(m);
       plan.method = "serialized receive port";
       break;
-    case Problem::kSummation: {
-      const Time t =
-          sum::min_time_for_operands(m, static_cast<Count>(key.k));
-      const auto r = sum::optimal_summation(m, t);
-      plan.schedule = r.timing_view();
-      plan.completion = r.t;
-      plan.total_operands = r.total_operands;
-      plan.method = "reversed (L+1) tree (Sec 5)";
-      break;
-    }
     case Problem::kAllToAll:
       plan.schedule = bcast::all_to_all_k(m, k);
       plan.completion = bcast::all_to_all_lower_bound(m, k);

@@ -15,8 +15,8 @@
 
 /// \file planner.hpp
 /// The concurrent planning service: one facade in front of every schedule
-/// producer — the ImplicitPlan decoder for the regular trees, src/bcast,
-/// src/sum and src/baselines for the rest.
+/// producer — the ImplicitPlan decoder for the regular trees and the
+/// summation, src/bcast and src/baselines for the rest.
 ///
 /// plan(key) resolves in three stages:
 ///   1. cache probe — a hit returns the shared immutable plan instantly;
@@ -99,8 +99,9 @@ class Planner {
 
   /// Builds `key`'s plan, bypassing cache and dedup (the cold path the
   /// plan-cache bench measures).  A key ImplicitPlan::supports is built
-  /// from its decoder alone: completion and method, plus to_schedule()
-  /// when `materialize` (without it, O(log P) instead of O(P log P)).
+  /// from its decoder alone: completion, method and operand count, plus
+  /// to_schedule() when `materialize` (without it, O(log P) instead of
+  /// O(P log P)).
   /// Every other key routes to its builder, and throws
   /// std::invalid_argument unless `materialize`.
   [[nodiscard]] static Plan build_uncached(const PlanKey& key,

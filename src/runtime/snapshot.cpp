@@ -142,7 +142,8 @@ Plan read_plan(std::istream& is, int version) {
     const ImplicitPlan& decoder = *plan.implicit;
     if (plan.completion != decoder.completion() ||
         plan.method != decoder.method() || plan.slack != 0 ||
-        plan.max_buffer_depth != 0 || plan.total_operands != 0 ||
+        plan.max_buffer_depth != 0 ||
+        plan.total_operands != decoder.total_operands() ||
         (plan.materialized && plan.schedule != decoder.to_schedule())) {
       fail("entry disagrees with its generator: " + plan.key.to_string());
     }

@@ -1,6 +1,7 @@
 #include "sim/implicit_sim.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace logpc::sim {
 
@@ -15,6 +16,10 @@ ImplicitRunResult violation(std::int64_t node, const std::string& what) {
 }  // namespace
 
 ImplicitRunResult run_implicit(const runtime::ImplicitPlan& plan) {
+  if (plan.is_summation()) {
+    throw std::invalid_argument(
+        "sim::run_implicit: summation plans have no broadcast-tree sweep");
+  }
   const std::int64_t P = plan.num_nodes();
   const Time T = plan.params().transfer_time();
   const Time g = plan.params().g;

@@ -28,7 +28,9 @@ struct ImplicitRunResult {
 ///    rule), and
 ///  * child(parent(n), child_rank(n)) == n (decode round-trips),
 /// and that the max label equals plan.completion().  Returns ok == false
-/// with a description on the first violation.
+/// with a description on the first violation.  Throws
+/// std::invalid_argument for a summation plan, whose tree lives on the
+/// (L+1) machine and whose completion is its deadline, not a label.
 [[nodiscard]] ImplicitRunResult run_implicit(const runtime::ImplicitPlan& plan);
 
 }  // namespace logpc::sim

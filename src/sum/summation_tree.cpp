@@ -73,24 +73,6 @@ SummationPlan plan_from_tree(const Params& params, const BroadcastTree& tree,
   return plan;
 }
 
-SummationPlan optimal_summation(const Params& params, Time t) {
-  params.require_valid();
-  if (t < 0) throw std::invalid_argument("optimal_summation: t >= 0");
-  const Params rev = reversal_params(params);
-  // A node at label d contributes S - (o+1)k... net S - o = t - d - o
-  // operands beyond its reception cost, so nodes with d > t - o subtract
-  // from the total: restrict to labels <= t - o (the root, label 0, always
-  // participates - with t < o it still sums t + 1 operands alone).  Past
-  // B(P) of the reversed machine all P processors are reachable, so the
-  // count never needs a longer table than that.
-  const Time horizon = std::min(std::max<Time>(0, t - params.o),
-                                bcast::B_of_P(rev, params.P));
-  const Count avail = bcast::reachable(rev, horizon);
-  const int n_nodes =
-      static_cast<int>(std::min<Count>(avail, static_cast<Count>(params.P)));
-  return plan_from_tree(params, BroadcastTree::optimal(rev, n_nodes), t);
-}
-
 namespace {
 
 /// Lemma 5.1 summed over the optimal plan without building it.  The n
@@ -121,6 +103,24 @@ class OperandCount {
       sum += at_u * u;
       label_sum_[u] = sum;
     }
+  }
+
+  /// The participants of the optimal plan for deadline t >= 0.  A node at
+  /// label d nets t - d - o operands beyond its reception cost, so nodes
+  /// with d > t - o would subtract from the total; the root (label 0)
+  /// always participates, alone when t < o.  Past B(P) all P processors
+  /// are reachable, so no longer table is needed.
+  [[nodiscard]] int participants(Time t) const {
+    const auto u = static_cast<std::size_t>(
+        std::min<Time>(std::max<Time>(0, t - o_), last_label()));
+    return static_cast<int>(std::min(nodes_[u], P_));
+  }
+
+  /// N(u) for u up to the deepest label among the first `nodes` nodes.
+  [[nodiscard]] std::vector<Count> reachable_through(int nodes) const {
+    const auto end = std::lower_bound(nodes_.begin(), nodes_.end(),
+                                      static_cast<Count>(nodes));
+    return {nodes_.begin(), end + 1};
   }
 
   /// max_operands(params, t) for t >= 0, saturating at kSaturated exactly
@@ -191,6 +191,27 @@ Count max_operands(const Params& params, Time t) {
 Time min_time_for_operands(const Params& params, Count n) {
   if (n < 1) throw std::invalid_argument("min_time_for_operands: n >= 1");
   return OperandCount(params).min_time(n);
+}
+
+SummationPlan optimal_summation(const Params& params, Time t) {
+  params.require_valid();
+  if (t < 0) throw std::invalid_argument("optimal_summation: t >= 0");
+  return plan_from_tree(
+      params,
+      BroadcastTree::optimal(reversal_params(params),
+                             OperandCount(params).participants(t)),
+      t);
+}
+
+SummationShape summation_shape(const Params& params, Count n) {
+  if (n < 1) throw std::invalid_argument("summation_shape: n >= 1");
+  const OperandCount count(params);
+  SummationShape shape;
+  shape.t = count.min_time(n);
+  shape.total_operands = count.at(shape.t);
+  shape.participants = count.participants(shape.t);
+  shape.reachable = count.reachable_through(shape.participants);
+  return shape;
 }
 
 }  // namespace logpc::sum

@@ -81,6 +81,7 @@ struct SummationPlan {
 /// summations on `params` (L+1, same o, g, P).
 [[nodiscard]] Params reversal_params(const Params& params);
 
+
 /// Maximum number of operands summable in t cycles: Lemma 5.1 summed over
 /// the optimal plan in closed form, without building it.  With n the
 /// participant count, min(N(t - o), P) on the (L+1, o, g) machine, the n
@@ -98,5 +99,20 @@ struct SummationPlan {
 /// (the deadline still reaches n); throws std::invalid_argument when the
 /// deadline would not fit in Time, for n < 1, or when g < o + 1.
 [[nodiscard]] Time min_time_for_operands(const Params& params, Count n);
+
+/// The optimal summation of n operands without its tree: everything the
+/// runtime's decoder (runtime/implicit_plan.hpp) needs, from one node-count
+/// table of the (L+1, o, g) machine.  Same preconditions and throws as
+/// min_time_for_operands.
+struct SummationShape {
+  Time t = 0;                ///< min_time_for_operands(params, n)
+  Count total_operands = 0;  ///< max_operands(params, t)
+  /// optimal_summation(params, t).procs.size(): the min(N(t - o), P)
+  /// cheapest universal-tree nodes (the root alone when t < o).
+  int participants = 1;
+  /// N(u) of the (L+1, o, g) machine for u = 0 .. B(participants).
+  std::vector<Count> reachable;
+};
+[[nodiscard]] SummationShape summation_shape(const Params& params, Count n);
 
 }  // namespace logpc::sum

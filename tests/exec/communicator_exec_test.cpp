@@ -95,6 +95,33 @@ TEST(CommunicatorExec, RunReduceOperandsMatchesReferenceExecutor) {
             static_cast<std::uint64_t>(sum::execute_iota_sum(plan)));
 }
 
+TEST(CommunicatorExec, RunReduceOperandsKeepsNonCommutativeOrder) {
+  // Concatenation exposes any fold out of sum::combination_order: the
+  // served program (lowered from the plan's decoder) must fold exactly as
+  // the paper's plan object says, at every operand count.
+  const Communicator comm(Params{8, 4, 1, 2});
+  for (const Count n : {Count{1}, Count{2}, Count{17}, Count{40}, Count{97}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const sum::SummationPlan plan = comm.reduce_operands(n);
+    const auto layout = sum::operand_layout(plan);
+    std::vector<std::vector<Bytes>> operands(plan.procs.size());
+    for (std::size_t i = 0; i < layout.size(); ++i) {
+      for (std::size_t j = 0; j < layout[i].total(); ++j) {
+        operands[i].push_back(tu::of_str(std::to_string(plan.procs[i].proc) +
+                                         "." + std::to_string(j) + ";"));
+      }
+    }
+    std::string expected;
+    for (const auto& [proc, j] : sum::combination_order(plan)) {
+      expected += std::to_string(proc) + "." + std::to_string(j) + ";";
+    }
+    const exec::ExecReport report =
+        comm.run_reduce_operands(n, operands, tu::concat());
+    EXPECT_EQ(report.label, "summation");
+    EXPECT_EQ(tu::to_str(report.folded_at(plan.root)), expected);
+  }
+}
+
 /// The TSan acceptance scenario: 8 threads, each running a different mix of
 /// plan+execute collectives against ONE shared planner (and its shared
 /// cache), with per-thread engines so executions genuinely overlap.

@@ -19,6 +19,7 @@
 #include "runtime/planner.hpp"
 #include "runtime/snapshot.hpp"
 #include "sim/implicit_sim.hpp"
+#include "sum/summation_tree.hpp"
 
 /// The implicit ≡ materialized property suite: every query an ImplicitPlan
 /// answers must agree with the materialized tree / schedule / compiled
@@ -110,10 +111,12 @@ TEST(ImplicitPlan, SupportsExactlyTheRegularFullMembershipCollectives) {
   for (const Problem p : kImplicitProblems) {
     EXPECT_TRUE(ImplicitPlan::supports(PlanKey::make(p, m)));
   }
+  EXPECT_TRUE(ImplicitPlan::supports(PlanKey::summation(m, 100)));
+  EXPECT_FALSE(ImplicitPlan::supports(
+      PlanKey::make(Problem::kSummation, m, 100, 0, 0x00ffull)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::kitem(m, 4)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::scatter(m)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::gather(m)));
-  EXPECT_FALSE(ImplicitPlan::supports(PlanKey::summation(m, 100)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::alltoall(m)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::allreduce(m)));
   EXPECT_FALSE(
@@ -517,19 +520,222 @@ TEST(ImplicitPlan, SnapshotsRoundTripBothRepresentations) {
   EXPECT_EQ(small->implicit->to_schedule(), small->schedule);
 }
 
+// ---- Section 5 summation --------------------------------------------------
+
+/// The first field in which two programs differ, or "" when they are
+/// identical: every scalar, every link id and endpoint, every instruction.
+std::string first_difference(const exec::Program& a, const exec::Program& b) {
+  if (a.params != b.params || a.mode != b.mode || a.label != b.label ||
+      a.num_items != b.num_items ||
+      a.predicted_makespan != b.predicted_makespan ||
+      a.num_messages != b.num_messages ||
+      a.initials.size() != b.initials.size()) {
+    return "program scalars";
+  }
+  if (a.links.size() != b.links.size()) return "link count";
+  for (std::size_t l = 0; l < a.links.size(); ++l) {
+    if (a.links[l].from != b.links[l].from || a.links[l].to != b.links[l].to) {
+      return "link " + std::to_string(l);
+    }
+  }
+  if (a.procs.size() != b.procs.size()) return "proc count";
+  for (std::size_t p = 0; p < a.procs.size(); ++p) {
+    const exec::ProcProgram& x = a.procs[p];
+    const exec::ProcProgram& y = b.procs[p];
+    const std::string where = "proc " + std::to_string(p);
+    if (x.proc != y.proc || x.sum_index != y.sum_index ||
+        x.num_operands != y.num_operands) {
+      return where + " scalars";
+    }
+    if (x.instrs.size() != y.instrs.size()) return where + " length";
+    for (std::size_t i = 0; i < x.instrs.size(); ++i) {
+      const exec::Instr& u = x.instrs[i];
+      const exec::Instr& v = y.instrs[i];
+      if (u.op != v.op || u.peer != v.peer || u.item != v.item ||
+          u.count != v.count || u.link != v.link || u.when != v.when ||
+          u.chain != v.chain) {
+        return where + " instr " + std::to_string(i);
+      }
+    }
+  }
+  return "";
+}
+
+TEST(ImplicitPlan, SummationLowersLikeTheReversedTreeOracle) {
+  // (L, o, g): g = o + 1 leaves every middle chunk empty.
+  const std::array<std::array<Time, 3>, 4> machines = {
+      {{2, 0, 1}, {4, 1, 2}, {3, 1, 4}, {5, 2, 3}}};
+  bool saw_idle_ranks = false;
+  bool saw_empty_middle_chunk = false;
+  for (const int P : {1, 2, 3, 7, 8, 12, 100, 1000, 4097, 65536}) {
+    for (const auto& [L, o, g] : machines) {
+      const Params m{P, L, o, g};
+      // One operand; the root alone (t = o); two per rank; exactly what
+      // some deadline sums; and fewer than P, so ranks idle.
+      const Time t_exact = sum::min_time_for_operands(m, P) + 1;
+      const Count exact = sum::max_operands(m, t_exact);
+      for (const Count n : {Count{1}, Count{o + 1}, Count{2} * P, exact,
+                            Count{P / 2 + 1}}) {
+        const PlanKey key = PlanKey::summation(m, n);
+        SCOPED_TRACE(key.to_string());
+        const Time t = sum::min_time_for_operands(m, n);
+        if (n == exact) ASSERT_EQ(t, t_exact);
+        const sum::SummationPlan oracle = sum::optimal_summation(m, t);
+
+        const Plan plan = Planner::build_uncached(key);
+        ASSERT_NE(plan.implicit, nullptr);
+        ASSERT_TRUE(plan.materialized);
+        EXPECT_EQ(plan.completion, t);
+        EXPECT_EQ(plan.method, "reversed (L+1) tree (Sec 5)");
+        EXPECT_EQ(plan.total_operands, oracle.total_operands);
+        EXPECT_EQ(plan.schedule, oracle.timing_view());
+        ASSERT_EQ(plan.implicit->num_nodes(),
+                  static_cast<std::int64_t>(oracle.procs.size()));
+        EXPECT_EQ(first_difference(exec::compile(plan),
+                                   exec::compile_summation(oracle)),
+                  "");
+
+        const Plan lean = Planner::build_uncached(key, /*materialize=*/false);
+        EXPECT_FALSE(lean.materialized);
+        EXPECT_EQ(lean.completion, t);
+        EXPECT_EQ(lean.total_operands, oracle.total_operands);
+
+        saw_idle_ranks = saw_idle_ranks || oracle.procs.size() <
+                                               static_cast<std::size_t>(P);
+        saw_empty_middle_chunk =
+            saw_empty_middle_chunk ||
+            (g == o + 1 && !oracle.procs.empty() &&
+             oracle.procs[0].recv_from.size() >= 2);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_idle_ranks);
+  EXPECT_TRUE(saw_empty_middle_chunk);
+}
+
+TEST(ImplicitPlan, SummationRankQueriesMatchTheTimingView) {
+  for (const Params& m : {Params{7, 3, 2, 3}, Params{24, 5, 1, 2},
+                          Params{100, 2, 0, 1}, Params{1000, 4, 1, 2}}) {
+    for (const Count n : {Count{1}, Count{m.P / 2 + 1}, Count{2} * m.P}) {
+      const PlanKey key = PlanKey::summation(m, n);
+      SCOPED_TRACE(key.to_string());
+      const ImplicitPlan plan = ImplicitPlan::build(key);
+      const sum::SummationPlan oracle =
+          sum::optimal_summation(m, plan.completion());
+      const Schedule whole = oracle.timing_view();
+      EXPECT_EQ(plan.to_schedule(), whole);
+      std::size_t recvs = 0;
+      std::size_t sends = 0;
+      for (ProcId p = 0; p < m.P; ++p) {
+        const RankSchedule rs = plan.rank_schedule(p);
+        ASSERT_EQ(rs.proc, p);
+        if (static_cast<std::size_t>(p) >= oracle.procs.size()) {
+          EXPECT_EQ(rs.node, -1) << "P" << p;
+          EXPECT_EQ(rs.parent, kNoProc) << "P" << p;
+          EXPECT_TRUE(rs.recvs.empty() && rs.sends.empty()) << "P" << p;
+          continue;
+        }
+        const sum::ProcPlan& pp = oracle.procs[static_cast<std::size_t>(p)];
+        EXPECT_EQ(rs.node, p);
+        EXPECT_EQ(rs.parent, pp.send_to) << "P" << p;
+        EXPECT_EQ(rs.informed_at, pp.send_time) << "P" << p;
+        ASSERT_EQ(rs.recvs.size(), pp.recv_from.size()) << "P" << p;
+        for (std::size_t j = 0; j < rs.recvs.size(); ++j) {
+          const ProcId child = pp.recv_from[j];
+          EXPECT_EQ(rs.recvs[j],
+                    (SendOp{oracle.procs[static_cast<std::size_t>(child)]
+                                .send_time,
+                            child, p, 0}))
+              << "P" << p << " recv " << j;
+        }
+        ASSERT_EQ(rs.sends.size(), pp.send_to == kNoProc ? 0u : 1u);
+        if (!rs.sends.empty()) {
+          EXPECT_EQ(rs.sends[0], (SendOp{pp.send_time, p, pp.send_to, 0}));
+          EXPECT_NE(std::find(whole.sends().begin(), whole.sends().end(),
+                              rs.sends[0]),
+                    whole.sends().end());
+        }
+        recvs += rs.recvs.size();
+        sends += rs.sends.size();
+      }
+      EXPECT_EQ(recvs, whole.sends().size());
+      EXPECT_EQ(sends, whole.sends().size());
+
+      // The tree is the (L+1) broadcast tree the summation reverses.
+      const bcast::BroadcastTree decoded = plan.to_tree();
+      const bcast::BroadcastTree& tree = oracle.reversed_tree;
+      EXPECT_EQ(decoded.params(), tree.params());
+      ASSERT_EQ(decoded.size(), tree.size());
+      for (int v = 0; v < tree.size(); ++v) {
+        EXPECT_EQ(decoded.node(v).label, tree.node(v).label) << v;
+        EXPECT_EQ(decoded.node(v).parent, tree.node(v).parent) << v;
+        EXPECT_EQ(decoded.node(v).children, tree.node(v).children) << v;
+        EXPECT_EQ(plan.label(v), tree.node(v).label) << v;
+        EXPECT_EQ(plan.parent(v), tree.node(v).parent) << v;
+        EXPECT_EQ(plan.num_children(v),
+                  static_cast<int>(tree.node(v).children.size()))
+            << v;
+      }
+      // The broadcast-tree sweep has no summation form: it refuses.
+      EXPECT_THROW((void)sim::run_implicit(plan), std::invalid_argument);
+    }
+  }
+}
+
+TEST(ImplicitPlan, MillionRankSummationPlansInLogarithmicMemory) {
+  const Params m{1 << 20, 4, 1, 2};
+  const Count n = Count{2} * m.P;
+  Planner planner;
+  const PlanPtr plan = planner.plan(PlanKey::summation(m, n));
+  ASSERT_NE(plan->implicit, nullptr);
+  EXPECT_FALSE(plan->materialized);
+  EXPECT_TRUE(plan->schedule.sends().empty());
+  const Time t = sum::min_time_for_operands(m, n);
+  EXPECT_EQ(plan->completion, t);
+  EXPECT_EQ(plan->total_operands,
+            static_cast<std::uint64_t>(sum::max_operands(m, t)));
+  const PlanPtr bcast = planner.plan(PlanKey::broadcast(m));
+  ASSERT_NE(bcast->implicit, nullptr);
+  const std::size_t bytes = plan->implicit->memory_bytes();
+  EXPECT_LE(bytes, 2 * bcast->implicit->memory_bytes());
+  EXPECT_LT(bytes, std::size_t{64} * 1024);
+  // Spot checks: each participant's send leaves at t - label and reaches
+  // the parent that lists it among its receptions.
+  const ImplicitPlan& ip = *plan->implicit;
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> rd(1, m.P - 1);
+  for (int i = 0; i < 2000; ++i) {
+    const auto p = static_cast<ProcId>(rd(rng));
+    const RankSchedule rs = ip.rank_schedule(p);
+    if (rs.node < 0) continue;
+    ASSERT_EQ(rs.sends.size(), 1u);
+    EXPECT_EQ(rs.sends[0].start, t - ip.label(rs.node));
+    const RankSchedule up = ip.rank_schedule(rs.parent);
+    EXPECT_NE(std::find(up.recvs.begin(), up.recvs.end(), rs.sends[0]),
+              up.recvs.end());
+  }
+}
+
 TEST(ImplicitPlan, ConcurrentQueriesAreRaceFree) {
   // All queries are const over immutable tables; TSan verifies.
-  const ImplicitPlan plan =
-      ImplicitPlan::build(PlanKey::broadcast(Params{100'000, 4, 1, 2}));
+  const Params m{100'000, 4, 1, 2};
+  const ImplicitPlan plan = ImplicitPlan::build(PlanKey::broadcast(m));
+  // 150000 operands leave some ranks idle, so both answers get queried.
+  const ImplicitPlan sum_plan =
+      ImplicitPlan::build(PlanKey::summation(m, 150'000));
+  ASSERT_LT(sum_plan.num_nodes(), m.P);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&plan, t] {
+    threads.emplace_back([&plan, &sum_plan, t] {
       std::mt19937 rng(static_cast<unsigned>(t));
       std::uniform_int_distribution<int> rd(0, 99'999);
       for (int i = 0; i < 2000; ++i) {
         const auto p = static_cast<ProcId>(rd(rng));
         const RankSchedule rs = plan.rank_schedule(p);
         ASSERT_EQ(rs.proc, p);
+        const RankSchedule ss = sum_plan.rank_schedule(p);
+        ASSERT_EQ(ss.proc, p);
+        ASSERT_EQ(ss.node < 0, p >= sum_plan.num_nodes());
       }
     });
   }

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <sstream>
 
+#include "runtime/implicit_plan.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/warmup.hpp"
+#include "sum/summation_tree.hpp"
 
 namespace logpc::runtime {
 namespace {
@@ -123,6 +125,60 @@ TEST(Snapshot, RejectsAScheduleThatDisagreesWithTheGenerator) {
   PlanCache cache(4, 1);
   EXPECT_THROW((void)load_snapshot(cache, replay), std::invalid_argument);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+/// A summation entry as the tree-building planner cached it before the
+/// decoder served summation: the fields came from sum::optimal_summation.
+PlanPtr tree_built_summation(const Params& m, Count n) {
+  const sum::SummationPlan r =
+      sum::optimal_summation(m, sum::min_time_for_operands(m, n));
+  Plan plan;
+  plan.key = PlanKey::summation(m, n);
+  plan.schedule = r.timing_view();
+  plan.completion = r.t;
+  plan.total_operands = r.total_operands;
+  plan.method = "reversed (L+1) tree (Sec 5)";
+  return std::make_shared<const Plan>(std::move(plan));
+}
+
+TEST(Snapshot, TreeBuiltSummationEntriesRoundTrip) {
+  PlanCache cache(8, 1);
+  const PlanPtr original = tree_built_summation(Params{12, 4, 1, 3}, 50);
+  cache.put(original->key, original);
+  std::stringstream stream;
+  ASSERT_EQ(save_snapshot(cache, stream), 1u);
+
+  PlanCache loaded(8, 1);
+  ASSERT_EQ(load_snapshot(loaded, stream), 1u);
+  const PlanPtr restored = loaded.get(original->key);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_TRUE(restored->materialized);
+  EXPECT_EQ(restored->schedule, original->schedule);
+  EXPECT_EQ(restored->completion, original->completion);
+  EXPECT_EQ(restored->method, original->method);
+  EXPECT_EQ(restored->total_operands, original->total_operands);
+  // The decoder is rebuilt from the key and agrees with the stored fields.
+  ASSERT_NE(restored->implicit, nullptr);
+  EXPECT_EQ(restored->implicit->total_operands(), original->total_operands);
+  // And today's planner builds the same entry from the decoder.
+  const Plan rebuilt = Planner::build_uncached(original->key);
+  EXPECT_EQ(rebuilt.schedule, original->schedule);
+  EXPECT_EQ(rebuilt.completion, original->completion);
+  EXPECT_EQ(rebuilt.method, original->method);
+  EXPECT_EQ(rebuilt.total_operands, original->total_operands);
+}
+
+TEST(Snapshot, RejectsATamperedSummationOperandCount) {
+  const PlanPtr honest = tree_built_summation(Params{12, 4, 1, 3}, 50);
+  Plan tampered = *honest;
+  tampered.total_operands += 1;
+  PlanCache cache(8, 1);
+  cache.put(tampered.key, std::make_shared<const Plan>(std::move(tampered)));
+  std::stringstream stream;
+  ASSERT_EQ(save_snapshot(cache, stream), 1u);
+  PlanCache loaded(8, 1);
+  EXPECT_THROW((void)load_snapshot(loaded, stream), std::invalid_argument);
+  EXPECT_EQ(loaded.size(), 0u);
 }
 
 TEST(Snapshot, EmptyCacheRoundTrips) {
