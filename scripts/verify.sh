@@ -90,7 +90,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_fault test_svc_sched test_svc test_svc_fusion test_svc_introspect \
              test_prometheus_lint \
              test_hier test_hierarchical test_hier_plan test_measure \
-             test_tuner test_summation
+             test_tuner test_summation test_tree
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
@@ -120,6 +120,9 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_tuner
   # Closed-form operand counts: UBSan watches the saturating arithmetic.
   ./build-asan/tests/test_summation
+  # The reachability table grows while it indexes N[u - T - i*g]: ASan
+  # watches every read stay inside the entries already computed.
+  ./build-asan/tests/test_tree
   for seed in 1 7 1993; do
     LOGPC_FAULT_SEED="$seed" ./build-asan/tests/test_fault
   done

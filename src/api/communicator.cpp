@@ -221,9 +221,7 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
   if (root < 0 || root >= params_.P) {
     throw std::invalid_argument("Communicator::run_broadcast_ft: bad root");
   }
-  exec::Engine::Options eng_opts = options.engine;
-  eng_opts.recovery.enabled = true;
-  exec::Engine engine(eng_opts);
+  exec::Engine engine(exec::Engine::Options{.acked = true});
 
   fault::FaultSpec spec = options.faults.value_or(fault::FaultSpec{});
   const bool inject = options.faults.has_value();

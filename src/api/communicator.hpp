@@ -56,8 +56,6 @@ struct FtRunOptions {
   std::optional<fault::FaultSpec> faults;
   /// Rank deaths to survive before giving up (kFailed past this).
   int max_recoveries = 2;
-  /// Engine knobs for the run; `engine.recovery.enabled` is forced on.
-  exec::Engine::Options engine;
 };
 
 /// Outcome of a fault-tolerant run.  `report` processor i is physical rank

@@ -160,47 +160,49 @@ Count reachable(const Params& params, Time t) {
   return reachable_prefix(params, t).back();
 }
 
+namespace {
+
+/// Appends N(u) for u = N.size() to the reachability table: processors
+/// reachable within u cycles of the root being informed, i.e. the root
+/// itself plus, for each child started at i*g (landing at
+/// i*g + L + 2o <= u), a full subtree with the remaining budget.
+void grow_reachable(const Params& params, std::vector<Count>& N) {
+  const auto u = static_cast<Time>(N.size());
+  const Time T = params.transfer_time();
+  Count total = 1;
+  for (Time i = 0; T + i * params.g <= u; ++i) {
+    total = sat_add(total, N[static_cast<std::size_t>(u - T - i * params.g)]);
+    if (total >= kSaturated) break;
+  }
+  N.push_back(total);
+}
+
+}  // namespace
+
 std::vector<Count> reachable_prefix(const Params& params, Time t) {
   params.require_valid();
   if (t < 0) {
     throw std::invalid_argument("reachable_prefix: t >= 0");
   }
-  // N(u) = processors reachable within u cycles of the root being informed:
-  // the root itself plus, for each child started at i*g (landing at
-  // i*g + L + 2o <= u), a full subtree with the remaining budget.
-  const Time T = params.transfer_time();
-  std::vector<Count> N(static_cast<std::size_t>(t) + 1, 1);
-  for (Time u = 0; u <= t; ++u) {
-    Count total = 1;
-    for (Time i = 0; T + i * params.g <= u; ++i) {
-      total = sat_add(total, N[static_cast<std::size_t>(u - T - i * params.g)]);
-      if (total >= kSaturated) break;
-    }
-    N[static_cast<std::size_t>(u)] = total;
-  }
+  std::vector<Count> N;
+  N.reserve(static_cast<std::size_t>(t) + 1);
+  while (static_cast<Time>(N.size()) <= t) grow_reachable(params, N);
+  return N;
+}
+
+std::vector<Count> reachable_until(const Params& params, int P) {
+  params.require_valid();
+  if (P < 1) throw std::invalid_argument("reachable_until: P >= 1");
+  std::vector<Count> N;
+  do {
+    grow_reachable(params, N);
+  } while (N.back() < static_cast<Count>(P));
+  N.shrink_to_fit();  // implicit plans keep the table for their lifetime
   return N;
 }
 
 Time B_of_P(const Params& params, int P) {
-  params.require_valid();
-  if (P < 1) throw std::invalid_argument("B_of_P: P >= 1");
-  if (P == 1) return 0;
-  // reachable() is monotone in t; gallop then binary search.
-  Time lo = 0;
-  Time hi = 1;
-  while (reachable(params, hi) < static_cast<Count>(P)) {
-    lo = hi;
-    hi *= 2;
-  }
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (reachable(params, mid) >= static_cast<Count>(P)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  return static_cast<Time>(reachable_until(params, P).size()) - 1;
 }
 
 }  // namespace logpc::bcast

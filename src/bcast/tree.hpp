@@ -90,13 +90,17 @@ class BroadcastTree {
 [[nodiscard]] Count reachable(const Params& params, Time t);
 
 /// The whole prefix of the reachability DP in one pass: out[u] = N(u) =
-/// reachable(params, u) for u in [0, t] (out.size() == t + 1).  The implicit
-/// planner keys its O(log P) decode tables off this table.
+/// reachable(params, u) for u in [0, t] (out.size() == t + 1).
 [[nodiscard]] std::vector<Count> reachable_prefix(const Params& params,
                                                   Time t);
 
+/// The prefix that first covers P processors, grown in one pass:
+/// reachable_prefix(params, B) for B = B_of_P(params, P), so out.back() >= P
+/// and every earlier entry is < P.  The planners key their tables off it.
+[[nodiscard]] std::vector<Count> reachable_until(const Params& params, int P);
+
 /// The single-item broadcast complexity B(P; L, o, g): the least t with
-/// reachable(t) >= P.
+/// reachable(t) >= P (the last index of reachable_until).
 [[nodiscard]] Time B_of_P(const Params& params, int P);
 
 }  // namespace logpc::bcast

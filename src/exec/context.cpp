@@ -37,8 +37,7 @@ bool RunContext::prepare(const RunShape& shape) {
     mailboxes.clear();
     mailboxes.reserve(shape.links);
     for (std::size_t i = 0; i < shape.links; ++i) {
-      mailboxes.push_back(
-          std::make_unique<SpscMailbox>(shape.capacity, shape.mailbox_stats));
+      mailboxes.push_back(std::make_unique<SpscMailbox>(shape.capacity));
     }
     pending.assign(shape.links, PendingQ{});
     for (PendingQ& pq : pending) pq.buf.reserve(shape.capacity);
@@ -46,8 +45,7 @@ bool RunContext::prepare(const RunShape& shape) {
     if (shape.reliable) {
       acks.reserve(shape.links);
       for (std::size_t i = 0; i < shape.links; ++i) {
-        acks.push_back(
-            std::make_unique<AckRing>(shape.capacity, shape.mailbox_stats));
+        acks.push_back(std::make_unique<AckRing>(shape.capacity));
       }
       hearts = std::make_unique<Heartbeat[]>(shape.procs);
     } else {

@@ -39,8 +39,7 @@ namespace logpc::exec {
 /// every context resource without reallocation.
 struct RunShape {
   std::size_t links = 0;     ///< directed links with traffic (mailboxes)
-  std::size_t capacity = 0;  ///< per-link ring bound, ceil(L/g) by default
-  bool mailbox_stats = true; ///< rings track their high-water mark
+  std::size_t capacity = 0;  ///< per-link ring bound, ceil(L/g)
   bool reliable = false;     ///< acked delivery: ack rings + heartbeats
   std::size_t procs = 0;     ///< logical processors (heartbeat slots)
 

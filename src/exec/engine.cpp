@@ -9,9 +9,9 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "exec/wait.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
 
@@ -33,6 +33,20 @@ struct Staging {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Acked-delivery timings: sub-millisecond retransmits, tens of
+// milliseconds to a death verdict.
+/// First retransmit of an unacked message after this long.
+constexpr std::chrono::microseconds kAckTimeout{200};
+/// Each retransmit multiplies the wait by this ...
+constexpr int kBackoffFactor = 2;
+/// ... for this many ramp steps, then resends at a steady cadence ...
+constexpr int kBackoffSteps = 6;
+/// ... never slower than this.
+constexpr std::chrono::microseconds kMaxBackoff{5000};
+/// A peer whose heartbeat has not moved for this long — while someone is
+/// blocked on it — is declared dead.
+constexpr std::chrono::milliseconds kSuspectAfter{25};
 
 std::uint64_t ns_since(Clock::time_point epoch) {
   return static_cast<std::uint64_t>(
@@ -87,23 +101,20 @@ struct Run {
   const Staging& staging;
   ExecReport& report;
   RunContext& ctx;
-  const WaitPolicy& wait;
-  const Engine::Recovery& rec;
   const fault::Injector* injector;
   Clock::time_point start;
   Clock::time_point deadline;
   std::vector<Tally> tallies;
   Failure failure;
-  ParkGate park_gate;
 
   [[nodiscard]] std::uint64_t now_ns() const { return ns_since(start); }
 
-  /// The one blocking wait: walks the WaitPolicy ladder until `attempt`
+  /// The one blocking wait: walks the Waiter ladder until `attempt`
   /// succeeds.  Each slow tick checks the watchdog deadline, then runs the
   /// delivery's `tick` bookkeeping, which returns false to give up.
   template <class Attempt, class Tick>
   bool block(int wi, Attempt&& attempt, Tick&& tick) {
-    Waiter w(wait, &park_gate);
+    Waiter w;
     while (!attempt()) {
       if (failure.abort.load(std::memory_order_acquire)) return false;
       if (w.should_tick()) {
@@ -170,8 +181,8 @@ class Direct {
   int wi_;
 };
 
-/// Acked delivery, taken when a run has a fault::Injector or
-/// Recovery::enabled.  Messages carry per-link sequence numbers; the
+/// Acked delivery, taken when a run has a fault::Injector or the engine
+/// has Options::acked.  Messages carry per-link sequence numbers; the
 /// receiver accepts exactly the next one, acks it on the reverse ring and
 /// discards everything else (duplicates re-acked, later ones resent by
 /// their sender).  A send records its message as unacked and moves on;
@@ -184,7 +195,6 @@ class Acked {
   Acked(Run& run, int wi)
       : run_(run),
         ctx_(run.ctx),
-        rec_(run.rec),
         inj_(run.injector),
         wi_(wi),
         p_(static_cast<std::size_t>(wi)),
@@ -222,9 +232,9 @@ class Acked {
     }
     SpscMailbox& mb = *ctx_.mailboxes[link];
     if (!wait_on(ins.peer, [&] { return mb.try_push(m); })) return false;
-    const auto backoff = std::chrono::microseconds(rec_.ack_timeout_us);
-    unacked_.push_back(Unacked{link, ins.peer, m, watch_of(ins.peer), backoff,
-                               Clock::now() + backoff, rec_.max_retries});
+    unacked_.push_back(Unacked{link, ins.peer, m, watch_of(ins.peer),
+                               kAckTimeout, Clock::now() + kAckTimeout,
+                               kBackoffSteps});
     return true;
   }
 
@@ -295,7 +305,7 @@ class Acked {
   }
 
   /// Accuses `peer` dead once its heartbeat has stayed frozen for
-  /// suspect_after_ms of this rank's waiting on it.
+  /// kSuspectAfter of this rank's waiting on it.
   bool suspect(ProcId peer, Watch& w) {
     const std::uint64_t cur =
         ctx_.hearts[static_cast<std::size_t>(peer)].v.load(
@@ -306,9 +316,7 @@ class Acked {
       w.changed = now;
       return false;
     }
-    if (now - w.changed < std::chrono::milliseconds(rec_.suspect_after_ms)) {
-      return false;
-    }
+    if (now - w.changed < kSuspectAfter) return false;
     run_.failure.fail_rank(
         peer, "exec::Engine: rank " + std::to_string(peer) +
                   " declared dead (heartbeat frozen while P" +
@@ -350,17 +358,14 @@ class Acked {
   }
 
   /// Drain, suspect the peer of each message still unacked, and retransmit
-  /// those whose timer lapsed with exponential backoff (max_retries ramp
-  /// steps, then a steady max_backoff cadence) for as long as the ack is
-  /// missing.  A copy goes only into an empty ring: a non-empty one means
-  /// the receiver has not consumed what is queued yet, so nothing past it
-  /// was lost — and copies never crowd out the plan's own messages.
+  /// those whose timer lapsed with exponential backoff (kBackoffSteps ramp
+  /// steps capped at kMaxBackoff, then a steady cadence) for as long as the
+  /// ack is missing.  A copy goes only into an empty ring: a non-empty one
+  /// means the receiver has not consumed what is queued yet, so nothing
+  /// past it was lost — and copies never crowd out the plan's own messages.
   bool service() {
     drain();
     const Clock::time_point now = Clock::now();
-    const auto max_backoff = std::chrono::microseconds(rec_.max_backoff_us);
-    const auto factor = static_cast<std::int64_t>(
-        std::max<std::uint64_t>(rec_.backoff_factor, 1));
     for (Unacked& u : unacked_) {
       if (suspect(u.peer, u.watch)) return false;
       if (now < u.next_retx) continue;
@@ -371,7 +376,7 @@ class Acked {
       if (mb.size() == 0 && mb.try_push(u.m)) ++tally_.retries;
       if (u.retries_left > 0) {
         --u.retries_left;
-        u.backoff = std::min(u.backoff * factor, max_backoff);
+        u.backoff = std::min(u.backoff * kBackoffFactor, kMaxBackoff);
       }
       u.next_retx = now + u.backoff;
     }
@@ -380,7 +385,6 @@ class Acked {
 
   Run& run_;
   RunContext& ctx_;
-  const Engine::Recovery& rec_;
   const fault::Injector* inj_;
   int wi_;
   std::size_t p_;
@@ -677,10 +681,7 @@ ExecReport Engine::execute(const Program& program, ExecReport report,
                            const Staging& staging,
                            const fault::Injector* injector) {
   const auto P = program.procs.size();
-  const std::size_t cap = opts_.mailbox_capacity != 0
-                              ? opts_.mailbox_capacity
-                              : static_cast<std::size_t>(
-                                    program.params.capacity());
+  const auto cap = static_cast<std::size_t>(program.params.capacity());
   if (cap == 0) {
     throw std::invalid_argument(
         "Engine::run: mailbox capacity is 0 for " +
@@ -688,7 +689,7 @@ ExecReport Engine::execute(const Program& program, ExecReport report,
         " — a network admitting no in-flight message cannot run any "
         "schedule; fix the machine parameters instead of clamping");
   }
-  const bool reliable = injector != nullptr || opts_.recovery.enabled;
+  const bool reliable = injector != nullptr || opts_.acked;
 
   // Serialize runs on this engine *before* starting the watchdog clock:
   // a run queued behind another must not burn its timeout budget waiting
@@ -702,7 +703,6 @@ ExecReport Engine::execute(const Program& program, ExecReport report,
   RunShape shape;
   shape.links = program.links.size();
   shape.capacity = cap;
-  shape.mailbox_stats = opts_.mailbox_stats;
   shape.reliable = reliable;
   shape.procs = P;
   report.warm_buffers = ctx_.prepare(shape);
@@ -713,13 +713,10 @@ ExecReport Engine::execute(const Program& program, ExecReport report,
           staging,
           report,
           ctx_,
-          opts_.wait,
-          opts_.recovery,
           injector,
           start,
           start + std::chrono::milliseconds(opts_.timeout_ms),
           std::vector<Tally>(P),
-          {},
           {}};
 
   {
@@ -728,32 +725,12 @@ ExecReport Engine::execute(const Program& program, ExecReport report,
       run_span.set_arg(program.label + " P=" +
                        std::to_string(program.params.P));
     }
-    // Park mode: a ticker wakes every parked waiter each park_tick_us, so
-    // parked workers re-check their condition, deadline and heartbeat at a
-    // bounded cadence — the watchdog and failure detector stay live even
-    // though producers never touch the gate.
-    const WaitPolicy& wait = opts_.wait;
-    std::atomic<bool> ticker_stop{false};
-    std::thread ticker;
-    if (wait.mode == WaitPolicy::Mode::kPark) {
-      ticker = std::thread([&] {
-        while (!ticker_stop.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(wait.park_tick_us));
-          run.park_gate.tick();
-        }
-      });
-    }
     if (reliable) {
       pool_.run(static_cast<int>(P), [&run](int wi) { worker<Acked>(run, wi); });
     } else {
       pool_.run(static_cast<int>(P), [&run](int wi) { worker<Direct>(run, wi); });
     }
     report.wall_ns = ns_since(start);
-    if (ticker.joinable()) {
-      ticker_stop.store(true, std::memory_order_release);
-      ticker.join();
-    }
   }
 
 #ifndef NDEBUG

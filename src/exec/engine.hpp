@@ -13,7 +13,6 @@
 #include "exec/mailbox.hpp"
 #include "exec/program.hpp"
 #include "exec/thread_pool.hpp"
-#include "exec/wait.hpp"
 #include "fault/fault.hpp"
 
 /// \file engine.hpp
@@ -52,8 +51,8 @@
 /// in obs spans, so executions land in the Chrome-trace exporter next to
 /// sim::Trace timelines.
 ///
-/// Fault tolerance: pass a fault::Injector to run() (or enable
-/// Options::recovery) and the engine switches every link to *acked
+/// Fault tolerance: pass a fault::Injector to run() (or construct the
+/// engine with Options::acked) and the engine switches every link to *acked
 /// delivery*: messages carry per-link sequence numbers, receivers
 /// acknowledge acceptance on a reverse ring, and receivers discard
 /// retransmitted duplicates exactly-once.  Acks are asynchronous: a send
@@ -66,8 +65,13 @@
 /// workers are signalled, joined at the epoch barrier, and every mailbox is
 /// drained before the error returns — api::Communicator::run_broadcast_ft
 /// catches it and re-plans over the survivors.  Without an injector and
-/// with recovery disabled, the fault-free delivery runs and none of this
+/// without Options::acked, the fault-free delivery runs and none of this
 /// protocol is compiled into its loop.
+///
+/// An engine has one configuration: the model's mailbox capacity, one idle
+/// strategy for every blocking wait (exec/wait.hpp), occupancy tracking on
+/// every ring, and fixed acked-delivery timings (engine.cpp).  Options
+/// holds only the watchdog budget and the acked-delivery switch.
 
 namespace logpc::exec {
 
@@ -175,35 +179,16 @@ struct SegmentRun {
 
 class Engine {
  public:
-  /// Knobs of the acked-delivery protocol (active when a fault::Injector is
-  /// passed to run() or `enabled` is set).  Defaults suit the fault tests:
-  /// sub-millisecond retransmits, tens of milliseconds to a death verdict.
-  struct Recovery {
-    bool enabled = false;
-    std::uint64_t ack_timeout_us = 200;  ///< first retransmit after this
-    std::uint64_t backoff_factor = 2;    ///< exponential retransmit backoff
-    std::uint64_t max_backoff_us = 5000;
-    int max_retries = 6;  ///< exponential-ramp steps; then steady cadence
-    /// A peer whose heartbeat has not moved for this long — while someone
-    /// is blocked on it — is declared dead.
-    std::uint64_t suspect_after_ms = 25;
-  };
-
   struct Options {
-    /// Per-link mailbox bound; 0 means the model's capacity ceil(L/g).
-    std::size_t mailbox_capacity = 0;
     /// Abort a run whose blocking wait exceeds this (a plan or engine bug
     /// must fail loudly, not hang the pool).  The clock starts when the
     /// run is dispatched, not while it queues behind another run.
     std::uint64_t timeout_ms = 20000;
-    /// Record per-link high-water marks (ExecReport::max_mailbox_occupancy).
-    /// Off, the producer's push pays only the ring indices.
-    bool mailbox_stats = true;
-    /// How blocked workers wait: spin / adaptive (default) / park.  One
-    /// policy drives every wait in the run — mailbox waits, ack waits and
-    /// the failure-detector loops.
-    WaitPolicy wait;
-    Recovery recovery;
+    /// Run every link under acked delivery even without a fault::Injector
+    /// (which turns it on by itself).  Its timings are fixed: first
+    /// retransmit after 200 µs, doubling for 6 steps up to 5 ms, and a
+    /// peer whose heartbeat stays frozen for 25 ms is declared dead.
+    bool acked = false;
   };
 
   Engine() = default;
@@ -251,9 +236,8 @@ class Engine {
   /// dispatch (not from when it started queueing).  Options are fixed at
   /// construction and immutable afterwards — there is deliberately no
   /// setter, so a run never observes a torn options struct and the shared
-  /// engine always carries the defaults.  Callers needing different knobs
-  /// (recovery, wait policy, mailbox stats) construct their own Engine;
-  /// svc::CollectiveService does exactly that, one per pool.
+  /// engine always carries the defaults.  Callers needing acked delivery
+  /// or a shorter watchdog construct their own Engine.
   static Engine& shared();
 
   /// Pre-spawns `procs` worker threads so the first real run dispatches

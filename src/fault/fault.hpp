@@ -63,9 +63,9 @@ struct FaultSpec {
 
   /// Each delivery attempt is discarded in transit with probability
   /// `drop_prob`, up to `max_drops_per_message` consecutive discards of one
-  /// message (the bound keeps every run terminating; the engine's retry
-  /// budget must exceed it — Engine::Options::Recovery::max_retries does by
-  /// default).
+  /// message (the bound keeps every run terminating; the engine's
+  /// retransmit ramp must outlast it — its 6 backoff steps in
+  /// exec/engine.cpp do).
   double drop_prob = 0.0;
   int max_drops_per_message = 3;
 

@@ -53,8 +53,8 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
       plan.family_ = Family::kOptimal;
       plan.method_ = plan.reverse_ ? "reversed optimal tree (Sec 4.2)"
                                    : "optimal tree (Thm 2.1)";
-      plan.build_optimal_tables(bcast::reachable_prefix(
-          key.params, bcast::B_of_P(key.params, key.params.P)));
+      plan.build_optimal_tables(
+          bcast::reachable_until(key.params, key.params.P));
       plan.completion_ = static_cast<Time>(plan.cum_.size()) - 1;
       break;
     case Problem::kSummation: {

@@ -95,7 +95,7 @@ class OperandCount {
           "inside one gap)");
     }
     const Params rev = reversal_params(params);
-    nodes_ = bcast::reachable_prefix(rev, bcast::B_of_P(rev, params.P));
+    nodes_ = bcast::reachable_until(rev, params.P);
     label_sum_.resize(nodes_.size());
     Count sum = 0;
     for (std::size_t u = 0; u < nodes_.size(); ++u) {

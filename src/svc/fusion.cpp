@@ -159,7 +159,7 @@ exec::Combiner fused_combiner(const Request& exemplar, std::size_t chunk,
   return exec::Combiner(chunked_combine(exemplar.combine.generic(), chunk));
 }
 
-exec::ExecReport member_report(const exec::ExecReport& run, OpKind op,
+exec::ExecReport member_report(const exec::ExecReport& run,
                                std::size_t chunk, std::size_t index,
                                std::size_t count) {
   exec::ExecReport r;
@@ -181,38 +181,17 @@ exec::ExecReport member_report(const exec::ExecReport& run, OpKind op,
   // Both result containers are mirrored whatever the op, so a fused
   // member's report has exactly the shape its solo run would have had
   // (the op's untouched container is per-proc empties, which slice to
-  // per-proc empties).
+  // per-proc empties).  A broadcast run, bulk or segmented, holds one
+  // item buffer per proc.
   r.folded.resize(run.folded.size());
   for (std::size_t p = 0; p < run.folded.size(); ++p) {
     r.folded[p] = slice_chunk(run.folded[p], index, chunk, count);
   }
-  if (op == OpKind::kBroadcast) {
-    // Engine-coalesced runs (bulk, and SegmentRun-segmented) carry one
-    // buffer per proc and slice directly; a plan that still reports k
-    // per-segment items gets them concatenated first — each member's
-    // single logical item is its slice of the segments' concatenation.
-    r.items.resize(run.items.size());
-    for (std::size_t p = 0; p < run.items.size(); ++p) {
-      if (run.items[p].size() == 1) {
-        r.items[p].push_back(slice_chunk(run.items[p][0], index, chunk, count));
-        continue;
-      }
-      exec::Bytes full;
-      std::size_t total = 0;
-      for (const exec::Bytes& seg : run.items[p]) total += seg.size();
-      full.reserve(total);
-      for (const exec::Bytes& seg : run.items[p]) {
-        full.insert(full.end(), seg.begin(), seg.end());
-      }
-      r.items[p].push_back(slice_chunk(full, index, chunk, count));
-    }
-  } else {
-    r.items.resize(run.items.size());
-    for (std::size_t p = 0; p < run.items.size(); ++p) {
-      r.items[p].reserve(run.items[p].size());
-      for (const exec::Bytes& item : run.items[p]) {
-        r.items[p].push_back(slice_chunk(item, index, chunk, count));
-      }
+  r.items.resize(run.items.size());
+  for (std::size_t p = 0; p < run.items.size(); ++p) {
+    r.items[p].reserve(run.items[p].size());
+    for (const exec::Bytes& item : run.items[p]) {
+      r.items[p].push_back(slice_chunk(item, index, chunk, count));
     }
   }
   return r;

@@ -93,15 +93,15 @@ struct SegmentPolicy {
                                             std::size_t chunk,
                                             std::size_t count);
 
-/// Member `index`'s view of a fused (and/or segmented) run: scalar
-/// telemetry copied from the shared run, result buffers reassembled
-/// (segments concatenated) and sliced to the member's `chunk` bytes.
+/// Member `index`'s view of a fused (and/or segmented) engine run: scalar
+/// telemetry copied from the shared run, every result buffer sliced to the
+/// member's `chunk` bytes.  A segmented broadcast needs no reassembly —
+/// Engine::run_segmented already returns one buffer per proc.
 /// Event/delivery/fault logs are left empty — they describe the batch, not
 /// any one member; the shared Response::profile carries them.  With
-/// count <= 1 the slice degenerates to the full reassembled payload (the
-/// solo segmented path).
+/// count <= 1 the slice degenerates to the full payload.
 [[nodiscard]] exec::ExecReport member_report(const exec::ExecReport& run,
-                                             OpKind op, std::size_t chunk,
+                                             std::size_t chunk,
                                              std::size_t index,
                                              std::size_t count);
 

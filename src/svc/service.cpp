@@ -101,7 +101,7 @@ CollectiveService::CollectiveService(Params params, Options options,
   pools_.reserve(static_cast<std::size_t>(opts_.pools));
   for (int i = 0; i < opts_.pools; ++i) {
     Pool pool;
-    pool.engine = std::make_unique<exec::Engine>(opts_.engine);
+    pool.engine = std::make_unique<exec::Engine>();
     if (opts_.prewarm) pool.engine->prewarm(params_.P);
     pools_.push_back(std::move(pool));
   }
@@ -503,7 +503,7 @@ std::vector<Response> CollectiveService::execute_batch(
       out[0].report = std::move(run);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        out[i].report = member_report(run, lead.op, chunk, i, n);
+        out[i].report = member_report(run, chunk, i, n);
       }
     }
   } catch (const std::exception& e) {

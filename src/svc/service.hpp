@@ -112,8 +112,6 @@ class CollectiveService {
     /// lever for staged bring-up; also what the policy tests use to build
     /// a backlog deterministically.
     bool start_paused = false;
-    /// Engine knobs shared by every pool.
-    exec::Engine::Options engine;
     /// Profile every successful run (obs::analyze) into the flight
     /// recorder and onto Response::profile.  On by default: the analyzer
     /// walks the event log once, and bench_profile guards its warm-path

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exec/engine.hpp"
 #include "exec/program.hpp"
 
 namespace logpc::tune {
@@ -102,7 +103,7 @@ TuneReport auto_tune(const TunerOptions& opts) {
 
   const std::shared_ptr<runtime::Planner> planner =
       opts.planner ? opts.planner : runtime::Planner::shared_default();
-  exec::Engine engine(opts.engine);
+  exec::Engine engine;
   engine.prewarm(*std::max_element(opts.Ps.begin(), opts.Ps.end()));
 
   TuneReport report;

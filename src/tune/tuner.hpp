@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
 #include "logp/hier.hpp"
 #include "runtime/planner.hpp"
 #include "tune/decision_table.hpp"
@@ -55,7 +54,6 @@ struct TunerOptions {
   Params cross{2, 16, 2, 8};
   int trials = 5;  ///< timed rounds per candidate (median scored)
   int warmup = 1;  ///< untimed rounds per candidate
-  exec::Engine::Options engine;
   /// Planner to resolve candidate plans through (warms its cache as a side
   /// effect); nullptr uses runtime::Planner::shared_default().
   std::shared_ptr<runtime::Planner> planner;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "sched/metrics.hpp"
@@ -152,6 +154,31 @@ TEST(Tree, ReachablePrefixMatchesPointQueries) {
       EXPECT_EQ(prefix[static_cast<std::size_t>(u)], reachable(params, u));
     }
   }
+}
+
+TEST(Tree, ReachableUntilStopsAtTheFirstCoveringLabel) {
+  std::vector<int> Ps;
+  for (int P = 1; P <= 512; ++P) Ps.push_back(P);
+  Ps.push_back(4097);
+  Ps.push_back(65536);
+  for (const auto& [L, o, g] : {std::tuple{1, 0, 1}, std::tuple{2, 0, 1},
+                                std::tuple{6, 2, 4}, std::tuple{4, 1, 2},
+                                std::tuple{3, 1, 4}, std::tuple{5, 2, 3},
+                                std::tuple{10, 3, 7}, std::tuple{1, 0, 5}}) {
+    for (const int P : Ps) {
+      const Params m{P, L, o, g};
+      const std::vector<Count> table = reachable_until(m, P);
+      const Time B = B_of_P(m, P);
+      ASSERT_EQ(static_cast<Time>(table.size()), B + 1) << m;
+      EXPECT_GE(reachable(m, B), static_cast<Count>(P)) << m;
+      if (B > 0) {
+        EXPECT_LT(reachable(m, B - 1), static_cast<Count>(P)) << m;
+      }
+      EXPECT_EQ(table, reachable_prefix(m, B)) << m;
+    }
+  }
+  EXPECT_THROW((void)reachable_until(Params{4, 2, 0, 1}, 0),
+               std::invalid_argument);
 }
 
 TEST(Tree, DegreeHistogramT9) {

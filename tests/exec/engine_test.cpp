@@ -474,7 +474,7 @@ std::uint64_t fault_seed() {
 
 Engine::Options acked_options() {
   Engine::Options opts;
-  opts.recovery.enabled = true;
+  opts.acked = true;
   opts.timeout_ms = 5000;
   return opts;
 }

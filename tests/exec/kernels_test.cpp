@@ -13,7 +13,6 @@
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
 #include "exec/engine.hpp"
-#include "exec/wait.hpp"
 #include "exec_test_util.hpp"
 #include "runtime/planner.hpp"
 #include "sum/executor.hpp"
@@ -351,84 +350,6 @@ TEST(EngineKernels, FloatSumStaysWithinAccumulationBoundOfLeftFold) {
   EXPECT_LE(std::abs(got - left_fold), bound);
 }
 
-// ---------------------------------------------------------------------------
-// Wait policies and engine options
-// ---------------------------------------------------------------------------
-
-TEST(EngineWaitPolicy, AllModesProduceIdenticalResults) {
-  const Params params{8, 4, 1, 2};
-  const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
-  const Program prog = compile_reduction(plan);
-  std::mt19937 rng(5);
-  const std::vector<Bytes> values =
-      random_float_values(rng, params.P, 4096, DType::kF64);
-  const Combiner typed{KernelSpec{Op::kSum, DType::kF64}};
-
-  Bytes reference;
-  for (const WaitPolicy policy :
-       {WaitPolicy::spin(), WaitPolicy::adaptive(), WaitPolicy::park()}) {
-    Engine::Options opts;
-    opts.wait = policy;
-    Engine engine(opts);
-    const ExecReport report = engine.run(prog, values, typed);
-    if (reference.empty()) {
-      reference = report.folded_at(0);
-    } else {
-      EXPECT_EQ(report.folded_at(0), reference)
-          << "mode=" << static_cast<int>(policy.mode);
-    }
-  }
-}
-
-TEST(EngineWaitPolicy, ParkModeCompletesUnderReliableDelivery) {
-  // Parked workers must keep the heartbeat / failure detector live: a
-  // fault-free run under acked delivery with parking enabled completes
-  // without any rank being falsely declared dead.
-  const Params params{8, 4, 1, 2};
-  const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
-  const Program prog = compile_reduction(plan);
-  Engine::Options opts;
-  opts.wait = WaitPolicy::park();
-  opts.recovery.enabled = true;
-  Engine engine(opts);
-
-  std::vector<Bytes> values;
-  std::uint64_t total = 0;
-  for (int p = 0; p < params.P; ++p) {
-    values.push_back(tu::of_u64(static_cast<std::uint64_t>(7 * p + 1)));
-    total += static_cast<std::uint64_t>(7 * p + 1);
-  }
-  const Combiner typed{KernelSpec{Op::kSum, DType::kI64}};
-  const ExecReport report = engine.run(prog, values, typed);
-  EXPECT_EQ(tu::to_u64(report.folded_at(0)), total);
-  EXPECT_EQ(report.retries, 0u);
-}
-
-TEST(EngineOptions, MailboxStatsOptOutReportsZeroOccupancy) {
-  const Params params{8, 4, 1, 2};
-  const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
-  const Program prog = compile_reduction(plan);
-  std::vector<Bytes> values;
-  std::uint64_t total = 0;
-  for (int p = 0; p < params.P; ++p) {
-    values.push_back(tu::of_u64(static_cast<std::uint64_t>(p + 1)));
-    total += static_cast<std::uint64_t>(p + 1);
-  }
-
-  Engine::Options opts;
-  opts.mailbox_stats = false;
-  Engine engine(opts);
-  const ExecReport report = engine.run(prog, values, tu::add_u64());
-  EXPECT_EQ(tu::to_u64(report.folded_at(0)), total);
-  EXPECT_EQ(report.max_mailbox_occupancy, 0u);
-
-  Engine tracked;
-  const ExecReport tracked_report = tracked.run(prog, values, tu::add_u64());
-  EXPECT_GE(tracked_report.max_mailbox_occupancy, 1u);
-  EXPECT_LE(tracked_report.max_mailbox_occupancy,
-            tracked_report.mailbox_capacity);
-}
-
 TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
   // A stream of back-to-back receives on one link (Instr::chain > 1): the
   // fault-free run takes the bulk drain, the reliable run takes the
@@ -464,9 +385,7 @@ TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
   Engine fast;
   const ExecReport fast_run = fast.run(prog, items);
 
-  Engine::Options opts;
-  opts.recovery.enabled = true;
-  Engine reliable(opts);
+  Engine reliable(Engine::Options{.acked = true});
   const ExecReport reliable_run = reliable.run(prog, items);
 
   EXPECT_EQ(fast_run.items, reliable_run.items);

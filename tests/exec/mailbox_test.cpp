@@ -1,4 +1,5 @@
 #include "exec/mailbox.hpp"
+#include "exec/wait.hpp"
 
 #include <gtest/gtest.h>
 
@@ -137,14 +138,29 @@ TEST(Mailbox, SpscStressPreservesOrderAndPayload) {
   EXPECT_NE(checksum, 0u);
 }
 
-TEST(Mailbox, StatsOptOutSkipsHighWaterTracking) {
-  SpscMailbox mb(5, /*track_occupancy=*/false);
-  EXPECT_FALSE(mb.tracks_occupancy());
-  for (ItemId i = 0; i < 5; ++i) ASSERT_TRUE(mb.try_push(msg(i)));
-  EXPECT_EQ(mb.max_occupancy(), 0u);  // tracking disabled, not "empty"
-  EXPECT_EQ(mb.size(), 5u);
-  SpscMailbox tracked(5);
-  EXPECT_TRUE(tracked.tracks_occupancy());
+// The engine's one idle strategy.  Single-threaded: should_tick() only
+// counts attempts, so the cadence is exact and independent of timing.
+TEST(Waiter, SlowTicksLandEvery256Attempts) {
+  EXPECT_EQ(Waiter::kRelaxSpins, 8u);
+  Waiter w;
+  for (int round = 1; round <= 3; ++round) {
+    for (std::uint32_t a = 1; a < 256; ++a) {
+      ASSERT_FALSE(w.should_tick()) << "round " << round << " attempt " << a;
+    }
+    ASSERT_TRUE(w.should_tick()) << "round " << round;
+    EXPECT_EQ(w.ticks(), static_cast<std::uint64_t>(round));
+    w.idle();
+  }
+}
+
+TEST(Waiter, YieldBurstDoublesUpToSixteen) {
+  Waiter w;
+  std::vector<std::uint32_t> bursts;
+  for (int i = 0; i < 7; ++i) {
+    bursts.push_back(w.burst());
+    w.idle();
+  }
+  EXPECT_EQ(bursts, (std::vector<std::uint32_t>{1, 2, 4, 8, 16, 16, 16}));
 }
 
 TEST(Mailbox, PopBulkDrainsUpToMaxInFifoOrder) {

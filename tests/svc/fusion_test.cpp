@@ -237,13 +237,12 @@ TEST(SvcFusion, MemberReportSlicesTheFusedRun) {
   run.wall_ns = 1234;
   run.warm_pool = true;
   run.items.resize(2);
-  // Two segments per proc, as a segmented fused run produces: the member
-  // view must see its slice of the *concatenation*.
-  run.items[0] = {of_str("aaBB"), of_str("ccDD")};
-  run.items[1] = {of_str("aaBB"), of_str("ccDD")};
+  // One buffer per proc, as the engine returns for bulk and segmented
+  // broadcasts alike: member 1 sees its 4-byte slice.
+  run.items[0] = {of_str("aaBBccDD")};
+  run.items[1] = {of_str("aaBBccDD")};
   const exec::ExecReport m1 =
-      member_report(run, OpKind::kBroadcast, /*chunk=*/4, /*index=*/1,
-                    /*count=*/2);
+      member_report(run, /*chunk=*/4, /*index=*/1, /*count=*/2);
   ASSERT_EQ(m1.items.size(), 2u);
   ASSERT_EQ(m1.items[0].size(), 1u);
   EXPECT_EQ(to_str(m1.items[0][0]), "ccDD");
@@ -254,8 +253,7 @@ TEST(SvcFusion, MemberReportSlicesTheFusedRun) {
   exec::ExecReport red;
   red.folded = {of_str("11223344"), of_str("xxxxxxxx")};
   const exec::ExecReport m2 =
-      member_report(red, OpKind::kReduce, /*chunk=*/2, /*index=*/2,
-                    /*count=*/4);
+      member_report(red, /*chunk=*/2, /*index=*/2, /*count=*/4);
   EXPECT_EQ(to_str(m2.folded[0]), "33");
 }
 
