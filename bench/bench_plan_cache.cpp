@@ -243,38 +243,64 @@ void report() {
       std::sort(secs.begin(), secs.end());
       return secs[secs.size() / 2] * 1e3;
     };
-    Table grid({"family", "materialized build ms", "compile ms"});
+    // A compiled program's arrays: the flat instruction array, P + 1
+    // stream offsets, the link directory, and for a summation the per-rank
+    // participant index and operand count.
+    const auto program_bytes = [](const exec::Program& prog) {
+      const std::size_t P = prog.procs.size();
+      std::size_t bytes = prog.procs.instrs().size() * sizeof(exec::Instr) +
+                          (P + 1) * sizeof(std::size_t) +
+                          prog.links.size() * sizeof(exec::Link);
+      if (prog.mode == exec::Mode::kSum) {
+        bytes += P * (sizeof(std::int32_t) + sizeof(std::size_t));
+      }
+      return bytes;
+    };
+    Table grid({"family", "materialized build ms", "compile ms",
+                "program bytes"});
     const Params m{1 << 16, 4, 1, 2};
+    struct Timing {
+      double build_ms;
+      double compile_ms;
+      std::size_t program_bytes;
+    };
     const auto time_key = [&](const PlanKey& key) {
       std::vector<double> build_secs;
       std::vector<double> compile_secs;
+      std::size_t bytes = 0;
       for (int r = 0; r < 5; ++r) {
         const auto s0 = Clock::now();
         const runtime::Plan plan = Planner::build_uncached(key);
         build_secs.push_back(seconds_since(s0));
         const auto s1 = Clock::now();
-        benchmark::DoNotOptimize(exec::compile(plan));
+        {
+          const exec::Program prog = exec::compile(plan);
+          benchmark::DoNotOptimize(prog);
+          bytes = program_bytes(prog);
+        }
         compile_secs.push_back(seconds_since(s1));
       }
-      return std::pair{median_ms(build_secs), median_ms(compile_secs)};
+      return Timing{median_ms(build_secs), median_ms(compile_secs), bytes};
     };
     for (const runtime::Problem problem :
          {runtime::Problem::kBroadcast, runtime::Problem::kReduce,
           runtime::Problem::kBinomialBroadcast,
           runtime::Problem::kBinaryBroadcast,
           runtime::Problem::kChainBroadcast}) {
-      const auto [build_ms, compile_ms] = time_key(PlanKey::make(problem, m));
+      const auto [build_ms, compile_ms, bytes] =
+          time_key(PlanKey::make(problem, m));
       const std::string family(runtime::problem_name(problem));
-      grid.row(family, build_ms, compile_ms);
+      grid.row(family, build_ms, compile_ms, bytes);
       json.entry("implicit_family_build",
                  {{"family", family}, {"P", std::to_string(1 << 16)}},
                  {{"materialized_build_ms", build_ms},
-                  {"compile_ms", compile_ms}});
+                  {"compile_ms", compile_ms},
+                  {"program_bytes", static_cast<double>(bytes)}});
     }
     const std::int64_t n = 2 * static_cast<std::int64_t>(m.P);
-    const auto [build_ms, compile_ms] =
+    const auto [build_ms, compile_ms, bytes] =
         time_key(PlanKey::summation(m, n));
-    grid.row("summation (n = 2P)", build_ms, compile_ms);
+    grid.row("summation (n = 2P)", build_ms, compile_ms, bytes);
     const Params big{1 << 20, m.L, m.o, m.g};
     const std::size_t implicit_bytes =
         runtime::ImplicitPlan::build(
@@ -284,6 +310,7 @@ void report() {
                {{"P", std::to_string(m.P)}, {"n", std::to_string(n)}},
                {{"build_ms", build_ms},
                 {"compile_ms", compile_ms},
+                {"program_bytes", static_cast<double>(bytes)},
                 {"implicit_bytes", static_cast<double>(implicit_bytes)}});
     grid.print();
     std::cout << "summation implicit bytes at P = 2^20 (n = 2P): "

@@ -152,7 +152,7 @@ class Direct {
       return run_.block(wi_, [&] { return mb.try_pop(m); }, [] { return true; });
     };
     // Drain every message this stream consumes back-to-back on this link
-    // (Instr::chain) in one bulk pop — one acquire/release round for the
+    // (a receive's Instr::count) in one bulk pop — one acquire/release round for the
     // whole batch instead of one per message.  Unchained receives (chain
     // <= 1, e.g. all-to-all's rotating links) take a plain pop: a
     // single-message bulk pop adds queue bookkeeping on top of the same
@@ -162,7 +162,7 @@ class Direct {
       m = pq.buf[pq.head++];
       return true;
     }
-    if (ins.chain <= 1) return pop();
+    if (ins.count <= 1) return pop();
     // Chained receive with nothing pending: block for the head message
     // exactly like the unchained path (a drip-feeding pipeline pays
     // nothing over a plain pop), then claim whatever the producer already
@@ -170,7 +170,7 @@ class Direct {
     if (!pop()) return false;
     pq.buf.clear();
     pq.head = 0;
-    (void)mb.pop_bulk(pq.buf, static_cast<std::size_t>(ins.chain) - 1);
+    (void)mb.pop_bulk(pq.buf, static_cast<std::size_t>(ins.count) - 1);
     return true;
   }
 
@@ -222,17 +222,18 @@ class Acked {
 
   bool send(const Instr& ins, Message m) {
     const auto link = static_cast<std::size_t>(ins.link);
+    const ProcId peer = run_.program.links[link].to;
     m.seq = ++ctx_.send_seq[link];
     const std::uint64_t delay =
         inj_ != nullptr ? inj_->send_delay_ns(rank_, ins.link, m.seq) : 0;
     if (delay > 0) {
       events_.push_back(
-          fault::FaultEvent{fault::FaultKind::kDelay, rank_, ins.peer, m.seq});
+          fault::FaultEvent{fault::FaultKind::kDelay, rank_, peer, m.seq});
       if (!stall(delay)) return false;
     }
     SpscMailbox& mb = *ctx_.mailboxes[link];
-    if (!wait_on(ins.peer, [&] { return mb.try_push(m); })) return false;
-    unacked_.push_back(Unacked{link, ins.peer, m, watch_of(ins.peer),
+    if (!wait_on(peer, [&] { return mb.try_push(m); })) return false;
+    unacked_.push_back(Unacked{link, peer, m, watch_of(peer),
                                kAckTimeout, Clock::now() + kAckTimeout,
                                kBackoffSteps});
     return true;
@@ -240,11 +241,12 @@ class Acked {
 
   bool recv(const Instr& ins, Message& m) {
     const auto link = static_cast<std::size_t>(ins.link);
+    const ProcId peer = run_.program.links[link].from;
     SpscMailbox& mb = *ctx_.mailboxes[link];
     AckRing& ar = *ctx_.acks[link];
     const std::uint64_t expect = ctx_.accepted[link] + 1;
     for (;;) {
-      if (!wait_on(ins.peer, [&] { return mb.try_pop(m); })) return false;
+      if (!wait_on(peer, [&] { return mb.try_pop(m); })) return false;
       if (m.seq < expect) {
         // A retransmitted copy of a message already accepted: discard
         // exactly-once, re-ack best-effort so the sender stops resending.
@@ -260,14 +262,14 @@ class Acked {
           inj_->drop_delivery(rank_, ins.link, m.seq, attempt)) {
         // Discarded in transit: no ack, so the sender retransmits.
         events_.push_back(
-            fault::FaultEvent{fault::FaultKind::kDrop, rank_, ins.peer, m.seq});
+            fault::FaultEvent{fault::FaultKind::kDrop, rank_, peer, m.seq});
         continue;
       }
       break;
     }
     ctx_.accepted[link] = m.seq;
     ctx_.attempts[link] = 0;
-    return wait_on(ins.peer, [&] { return ar.try_push(ctx_.accepted[link]); });
+    return wait_on(peer, [&] { return ar.try_push(ctx_.accepted[link]); });
   }
 
   /// Before the worker returns: wait until every send is acked.
@@ -455,7 +457,7 @@ void worker(Run& run, int wi) {
     ExecEvent ev;
     ev.kind = ins.op == OpCode::kSend ? ExecEvent::Kind::kSend
                                       : ExecEvent::Kind::kRecv;
-    ev.peer = ins.peer;
+    ev.peer = program.peer(ins);
     ev.item = ins.item;
     ev.planned = ins.when;
     ev.start_ns = run.now_ns();
@@ -475,7 +477,7 @@ void worker(Run& run, int wi) {
       if (m.item != ins.item) {
         run.failure.fail("exec::Engine: P" + std::to_string(wi) +
                          " expected item " + std::to_string(ins.item) +
-                         " from P" + std::to_string(ins.peer) + ", got " +
+                         " from P" + std::to_string(ev.peer) + ", got " +
                          std::to_string(m.item));
         return;
       }
@@ -493,7 +495,7 @@ void worker(Run& run, int wi) {
         fold(std::span<const std::byte>(m.data, m.size));
       }
       run.report.deliveries[p].push_back(
-          validate::DeliveryRecord{ins.peer, m.item});
+          validate::DeliveryRecord{ev.peer, m.item});
     }
     ev.end_ns = run.now_ns();
     events.push_back(ev);

@@ -14,6 +14,7 @@
 #include "exec/program.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
+#include "validate/checker.hpp"
 
 /// \file engine.hpp
 /// The shared-memory execution engine: runs a compiled Program on a pool

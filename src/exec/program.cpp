@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -38,10 +40,16 @@ class LinkTable {
 /// before a send starting the same cycle (the send may forward the item
 /// that just landed); schedule position breaks remaining ties.
 struct Keyed {
-  Time when = 0;
-  int is_send = 0;
-  std::size_t pos = 0;
+  Time when;
+  int is_send;
+  std::size_t pos;
   Instr instr;
+
+  Keyed(const Instr& ins, std::size_t position)
+      : when(ins.when),
+        is_send(ins.op == OpCode::kSend ? 1 : 0),
+        pos(position),
+        instr(ins) {}
 
   friend bool operator<(const Keyed& a, const Keyed& b) {
     return std::tie(a.when, a.is_send, a.pos) <
@@ -49,39 +57,22 @@ struct Keyed {
   }
 };
 
-/// Back-to-front sweep filling Instr::chain: for each receive, how many
+/// Back-to-front sweep filling each receive's Instr::count: how many
 /// consecutive receives (itself included) the stream performs on the same
 /// link with nothing in between.  This is the engine's licence to drain
 /// that many messages in one bulk pop.
 void annotate_recv_chains(Program& prog) {
-  for (ProcProgram& pp : prog.procs) {
-    std::vector<Instr>& v = pp.instrs;
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    const std::span<Instr> v = prog.procs.stream(p);
     for (std::size_t j = v.size(); j-- > 0;) {
       if (v[j].op != OpCode::kRecv) continue;
       const bool chained = j + 1 < v.size() &&
                            v[j + 1].op == OpCode::kRecv &&
                            v[j + 1].link == v[j].link;
-      v[j].chain = chained ? v[j + 1].chain + 1 : 1;
+      v[j].count = chained ? v[j + 1].count + 1 : 1;
     }
   }
 }
-
-}  // namespace
-
-std::vector<std::vector<validate::DeliveryRecord>>
-Program::expected_deliveries() const {
-  std::vector<std::vector<validate::DeliveryRecord>> out(procs.size());
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    for (const Instr& ins : procs[p].instrs) {
-      if (ins.op == OpCode::kRecv) {
-        out[p].push_back(validate::DeliveryRecord{ins.peer, ins.item});
-      }
-    }
-  }
-  return out;
-}
-
-namespace {
 
 /// The stream builder shared by compile_broadcast (kMove) and
 /// compile_reduction (kFold): per processor, the schedule's events in
@@ -104,41 +95,46 @@ Program compile_schedule(const Schedule& s, Mode mode, std::string label,
     prog.num_items = s.num_items();
     prog.initials = s.initials();
   }
-  prog.procs.resize(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-  }
 
+  // Every rank's events in schedule order, then each stream sorted into
+  // Keyed order (position = emission index, which follows schedule order).
   LinkTable links;
-  std::vector<std::vector<Keyed>> streams(P);
   const auto& sends = s.sends();
+  std::vector<std::int32_t> link_of(sends.size());
   for (std::size_t i = 0; i < sends.size(); ++i) {
-    const SendOp& op = sends[i];
-    const std::int32_t link = links.intern(op.from, op.to);
-    streams[static_cast<std::size_t>(op.from)].push_back(
-        Keyed{op.start, 1, i,
-              Instr{OpCode::kSend, op.to, op.item, 0, link, op.start}});
-    streams[static_cast<std::size_t>(op.to)].push_back(
-        Keyed{s.available_at(op), 0, i,
-              Instr{OpCode::kRecv, op.from, op.item, 0, link,
-                    s.available_at(op)}});
+    link_of[i] = links.intern(sends[i].from, sends[i].to);
   }
+  prog.links = links.take();
+  prog.procs = ProcStreams::build(P, [&](auto&& emit) {
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      const SendOp& op = sends[i];
+      emit(op.from, Instr{OpCode::kSend, op.item, link_of[i], 0, op.start});
+      emit(op.to, Instr{OpCode::kRecv, op.item, link_of[i], 0,
+                        s.available_at(op)});
+    }
+  });
+  std::vector<Keyed> keyed;
   for (std::size_t p = 0; p < P; ++p) {
-    std::sort(streams[p].begin(), streams[p].end());
-    prog.procs[p].instrs.reserve(streams[p].size());
-    for (const Keyed& k : streams[p]) prog.procs[p].instrs.push_back(k.instr);
+    const std::span<Instr> stream = prog.procs.stream(p);
+    keyed.clear();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      keyed.emplace_back(stream[i], i);
+    }
+    if (std::is_sorted(keyed.begin(), keyed.end())) continue;
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t i = 0; i < stream.size(); ++i) stream[i] = keyed[i].instr;
   }
 
   if (mode == Mode::kMove) {
-    std::vector<std::vector<char>> have(
-        P, std::vector<char>(static_cast<std::size_t>(prog.num_items), 0));
+    const auto items = static_cast<std::size_t>(prog.num_items);
+    std::vector<char> have(P * items, 0);
     for (const auto& init : s.initials()) {
-      have[static_cast<std::size_t>(init.proc)]
-          [static_cast<std::size_t>(init.item)] = 1;
+      have[static_cast<std::size_t>(init.proc) * items +
+           static_cast<std::size_t>(init.item)] = 1;
     }
     for (std::size_t p = 0; p < P; ++p) {
       for (const Instr& ins : prog.procs[p].instrs) {
-        char& slot = have[p][static_cast<std::size_t>(ins.item)];
+        char& slot = have[p * items + static_cast<std::size_t>(ins.item)];
         if (ins.op == OpCode::kRecv) {
           slot = 1;
         } else if (slot == 0) {
@@ -162,12 +158,43 @@ Program compile_schedule(const Schedule& s, Mode mode, std::string label,
       }
     }
   }
-  prog.links = links.take();
   annotate_recv_chains(prog);
   return prog;
 }
 
 }  // namespace
+
+void ProcStreams::set_operands(std::vector<std::int32_t> sum_index,
+                               std::vector<std::size_t> num_operands) {
+  sum_index_ = std::move(sum_index);
+  num_operands_ = std::move(num_operands);
+}
+
+void ProcStreams::swap_ranks(std::size_t a, std::size_t b) {
+  if (a == b) return;
+  if (a > b) std::swap(a, b);
+  // [A][M][B] -> [B][M][A]: reverse the whole range, then each piece.
+  const auto first = instrs_.begin() + static_cast<std::ptrdiff_t>(offsets_[a]);
+  const auto last =
+      instrs_.begin() + static_cast<std::ptrdiff_t>(offsets_[b + 1]);
+  const std::size_t len_a = offsets_[a + 1] - offsets_[a];
+  const std::size_t len_b = offsets_[b + 1] - offsets_[b];
+  const std::size_t len_m = offsets_[b] - offsets_[a + 1];
+  std::reverse(first, last);
+  const auto m_begin = first + static_cast<std::ptrdiff_t>(len_b);
+  const auto a_begin = m_begin + static_cast<std::ptrdiff_t>(len_m);
+  std::reverse(first, m_begin);
+  std::reverse(m_begin, a_begin);
+  std::reverse(a_begin, last);
+  // Ranks a + 1 .. b now start len_b - len_a later.
+  for (std::size_t p = a + 1; p <= b; ++p) {
+    offsets_[p] = offsets_[p] + len_b - len_a;
+  }
+  if (!sum_index_.empty()) {
+    std::swap(sum_index_[a], sum_index_[b]);
+    std::swap(num_operands_[a], num_operands_[b]);
+  }
+}
 
 Program compile_broadcast(const Schedule& s, std::string label) {
   return compile_schedule(s, Mode::kMove, std::move(label), s.makespan());
@@ -185,14 +212,8 @@ Program relabel_swapped(Program program, ProcId a, ProcId b) {
   }
   if (a == b) return program;
   const auto map = [a, b](ProcId p) { return p == a ? b : (p == b ? a : p); };
-  std::swap(program.procs[static_cast<std::size_t>(a)],
-            program.procs[static_cast<std::size_t>(b)]);
-  for (ProcProgram& pp : program.procs) {
-    pp.proc = map(pp.proc);
-    for (Instr& ins : pp.instrs) {
-      if (ins.peer != kNoProc) ins.peer = map(ins.peer);
-    }
-  }
+  program.procs.swap_ranks(static_cast<std::size_t>(a),
+                           static_cast<std::size_t>(b));
   for (Link& link : program.links) {
     link.from = map(link.from);
     link.to = map(link.to);
@@ -205,62 +226,67 @@ Program relabel_swapped(Program program, ProcId a, ProcId b) {
 
 namespace {
 
-/// The kSum stream writer both summation lowerings share.  Every
-/// participant sends at most once, so its sender names its link; ids go out
-/// in first-use order.
+/// The kSum program writer both summation lowerings share.  A lowering
+/// hands lower() a walk that emits every participant's stream through
+/// chunk / recv / send and records it with open(); ProcStreams::build runs
+/// the walk twice, so all of these are idempotent.  Every participant
+/// sends at most once, so its sender names its link; ids go out in
+/// first-use order, and the message count is the link count.
 class SumStreams {
  public:
   SumStreams(const Params& params, Time deadline, std::string label)
-      : link_of_(static_cast<std::size_t>(params.P), -1) {
+      : link_of_(static_cast<std::size_t>(params.P), -1),
+        sum_index_(static_cast<std::size_t>(params.P), -1),
+        num_operands_(static_cast<std::size_t>(params.P), 0) {
     params.require_valid();
     prog_.params = params;
     prog_.mode = Mode::kSum;
     prog_.label = std::move(label);
     prog_.num_items = 1;
     prog_.predicted_makespan = deadline;
-    prog_.procs.resize(static_cast<std::size_t>(params.P));
-    for (std::size_t p = 0; p < prog_.procs.size(); ++p) {
-      prog_.procs[p].proc = static_cast<ProcId>(p);
-    }
   }
 
-  /// Opens `proc`'s stream as plan participant `index`, sized for
-  /// `reserve` instructions.
-  ProcProgram& open(ProcId proc, std::int64_t index, std::size_t reserve) {
-    ProcProgram& stream = prog_.procs[static_cast<std::size_t>(proc)];
-    stream.sum_index = static_cast<std::int32_t>(index);
-    stream.instrs.reserve(reserve);
-    return stream;
+  /// Records `proc` as plan participant `index` folding `operands` local
+  /// operands.
+  void open(ProcId proc, std::int64_t index, std::size_t operands) {
+    sum_index_[static_cast<std::size_t>(proc)] =
+        static_cast<std::int32_t>(index);
+    num_operands_[static_cast<std::size_t>(proc)] = operands;
   }
 
   /// Folds `count` local operands (nothing when 0).
-  static void chunk(ProcProgram& stream, std::size_t count, Time when) {
-    stream.num_operands += count;
+  template <class Emit>
+  static void chunk(Emit& emit, ProcId proc, std::size_t count, Time when) {
     if (count == 0) return;
     if (count > static_cast<std::size_t>(
                     std::numeric_limits<std::int32_t>::max())) {
       throw std::invalid_argument(
-          "exec::compile_summation: P" + std::to_string(stream.proc) +
+          "exec::compile_summation: P" + std::to_string(proc) +
           " folds a local chunk of " + std::to_string(count) +
           " operands; an instruction holds at most INT32_MAX");
     }
-    stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
-                                  static_cast<std::int32_t>(count), -1,
-                                  when});
+    emit(proc, Instr{OpCode::kCombineLocal, 0, -1,
+                     static_cast<std::int32_t>(count), when});
   }
 
-  void recv(ProcProgram& stream, ProcId from, Time when) {
-    stream.instrs.push_back(
-        Instr{OpCode::kRecv, from, 0, 0, link(from, stream.proc), when});
+  template <class Emit>
+  void recv(Emit& emit, ProcId proc, ProcId from, Time when) {
+    emit(proc, Instr{OpCode::kRecv, 0, link(from, proc), 1, when});
   }
 
-  void send(ProcProgram& stream, ProcId to, Time when) {
-    stream.instrs.push_back(
-        Instr{OpCode::kSend, to, 0, 0, link(stream.proc, to), when});
-    ++prog_.num_messages;
+  template <class Emit>
+  void send(Emit& emit, ProcId proc, ProcId to, Time when) {
+    emit(proc, Instr{OpCode::kSend, 0, link(proc, to), 0, when});
   }
 
-  Program take() { return std::move(prog_); }
+  /// The program whose streams `walk(emit)` writes.
+  template <class Walk>
+  Program lower(Walk&& walk) {
+    prog_.procs = ProcStreams::build(link_of_.size(), walk);
+    prog_.procs.set_operands(std::move(sum_index_), std::move(num_operands_));
+    prog_.num_messages = prog_.links.size();
+    return std::move(prog_);
+  }
 
  private:
   std::int32_t link(ProcId from, ProcId to) {
@@ -278,6 +304,8 @@ class SumStreams {
 
   Program prog_;
   std::vector<std::int32_t> link_of_;
+  std::vector<std::int32_t> sum_index_;
+  std::vector<std::size_t> num_operands_;
 };
 
 /// compile_implicit for a summation: one pass over the decoder's edges,
@@ -296,35 +324,39 @@ Program compile_decoded_summation(const runtime::ImplicitPlan& plan,
   // up[node]: the edge carrying the node's partial sum to its parent, set
   // when the parent (an earlier node) receives it.
   std::vector<std::size_t> up(static_cast<std::size_t>(plan.num_nodes()));
-  std::size_t e = 0;
-  for (std::int64_t node = 0; node < plan.num_nodes(); ++node) {
-    const ProcId proc = plan.proc_of_node(node);
-    std::size_t end = e;
-    while (end < sends.size() && sends[end].to == proc) ++end;
-    ProcProgram& stream = out.open(proc, node, 2 * (end - e) + 2);
-    const SendOp* parent =
-        node == 0 ? nullptr : &sends[up[static_cast<std::size_t>(node)]];
-    const Time departs = parent == nullptr ? t : parent->start;
-    // A reception starts L + o after its send and, with its addition,
-    // holds the accumulator for o + 1 cycles.  Seeding the accumulator
-    // costs no addition, hence the first chunk's extra operand.
-    Time resume = -1;
-    Time when = 0;
-    for (std::size_t j = end; j-- > e;) {
-      const Time r = sends[j].start + params.L + params.o;
-      SumStreams::chunk(stream, static_cast<std::size_t>(r - resume), when);
-      out.recv(stream, sends[j].from, r);
-      up[static_cast<std::size_t>(plan.node_of_proc(sends[j].from))] = j;
-      resume = r + params.o + 1;
-      when = r;
+  // Each link carries one message, so every receive keeps count = 1.
+  return out.lower([&](auto&& emit) {
+    std::size_t e = 0;
+    for (std::int64_t node = 0; node < plan.num_nodes(); ++node) {
+      const ProcId proc = plan.proc_of_node(node);
+      std::size_t end = e;
+      while (end < sends.size() && sends[end].to == proc) ++end;
+      const SendOp* parent =
+          node == 0 ? nullptr : &sends[up[static_cast<std::size_t>(node)]];
+      const Time departs = parent == nullptr ? t : parent->start;
+      // A reception starts L + o after its send and, with its addition,
+      // holds the accumulator for o + 1 cycles.  Seeding the accumulator
+      // costs no addition, hence the first chunk's extra operand.
+      Time resume = -1;
+      Time when = 0;
+      std::size_t operands = 0;
+      for (std::size_t j = end; j-- > e;) {
+        const Time r = sends[j].start + params.L + params.o;
+        const auto n = static_cast<std::size_t>(r - resume);
+        SumStreams::chunk(emit, proc, n, when);
+        operands += n;
+        out.recv(emit, proc, sends[j].from, r);
+        up[static_cast<std::size_t>(plan.node_of_proc(sends[j].from))] = j;
+        resume = r + params.o + 1;
+        when = r;
+      }
+      const auto last = static_cast<std::size_t>(departs - resume);
+      SumStreams::chunk(emit, proc, last, when);
+      out.open(proc, node, operands + last);
+      if (parent != nullptr) out.send(emit, proc, parent->to, departs);
+      e = end;
     }
-    SumStreams::chunk(stream, static_cast<std::size_t>(departs - resume),
-                      when);
-    if (parent != nullptr) out.send(stream, parent->to, departs);
-    e = end;
-  }
-  // Each link carries one message, so every receive keeps chain = 1.
-  return out.take();
+  });
 }
 
 }  // namespace
@@ -352,7 +384,6 @@ Program compile_implicit(const runtime::ImplicitPlan& plan,
     prog.initials.push_back(
         InitialPlacement{0, plan.plan_key().root, 0});
   }
-  prog.procs.resize(P);
 
   // One link per tree edge, numbered in walk order.  The walk visits a
   // node's parent edge before its own children's edges (parents come in
@@ -362,61 +393,55 @@ Program compile_implicit(const runtime::ImplicitPlan& plan,
   // order.  Reduce: receives arrive in descending child rank, so they are
   // appended in reverse walk order, and every rank's single send follows
   // all of them.  Either way this is the Keyed order of the materialized
-  // compilers.
+  // compilers.  Each link carries one message, so every receive's count
+  // (its chain) is 1.
   const std::vector<SendOp> sends = plan.edge_sends();
-  std::vector<std::int32_t> degree(P, 0);
-  for (const SendOp& op : sends) {
-    ++degree[static_cast<std::size_t>(op.from)];
-    ++degree[static_cast<std::size_t>(op.to)];
-  }
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-    prog.procs[p].instrs.reserve(static_cast<std::size_t>(degree[p]));
-  }
   prog.links.reserve(sends.size());
   for (const SendOp& op : sends) prog.links.push_back(Link{op.from, op.to});
-  const auto recv = [&](std::size_t e) {
-    const SendOp& op = sends[e];
-    prog.procs[static_cast<std::size_t>(op.to)].instrs.push_back(
-        Instr{OpCode::kRecv, op.from, 0, 0, static_cast<std::int32_t>(e),
-              op.start + T});
-  };
-  const auto send = [&](std::size_t e) {
-    const SendOp& op = sends[e];
-    prog.procs[static_cast<std::size_t>(op.from)].instrs.push_back(
-        Instr{OpCode::kSend, op.to, 0, 0, static_cast<std::int32_t>(e),
-              op.start});
-  };
-  if (!reduce) {
-    for (std::size_t e = 0; e < sends.size(); ++e) {
-      recv(e);
-      send(e);
+  prog.procs = ProcStreams::build(P, [&](auto&& emit) {
+    const auto recv = [&](std::size_t e) {
+      const SendOp& op = sends[e];
+      emit(op.to, Instr{OpCode::kRecv, 0, static_cast<std::int32_t>(e), 1,
+                        op.start + T});
+    };
+    const auto send = [&](std::size_t e) {
+      const SendOp& op = sends[e];
+      emit(op.from, Instr{OpCode::kSend, 0, static_cast<std::int32_t>(e), 0,
+                          op.start});
+    };
+    if (!reduce) {
+      for (std::size_t e = 0; e < sends.size(); ++e) {
+        recv(e);
+        send(e);
+      }
+    } else {
+      for (std::size_t e = sends.size(); e-- > 0;) recv(e);
+      for (std::size_t e = 0; e < sends.size(); ++e) send(e);
     }
-  } else {
-    for (std::size_t e = sends.size(); e-- > 0;) recv(e);
-    for (std::size_t e = 0; e < sends.size(); ++e) send(e);
-  }
-  // Each link carries one message, so every receive keeps chain = 1.
+  });
   return prog;
 }
 
 Program compile_summation(const sum::SummationPlan& plan) {
   SumStreams out(plan.params, plan.t, "summation");
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
-  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
-    const sum::ProcPlan& pp = plan.procs[i];
-    const auto& chunks = layout[i].chunk_sizes;
-    ProcProgram& stream = out.open(
-        pp.proc, static_cast<std::int64_t>(i),
-        chunks.size() + pp.recv_from.size() + 1);
-    SumStreams::chunk(stream, chunks[0], 0);
-    for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
-      out.recv(stream, pp.recv_from[j], pp.recv_times[j]);
-      SumStreams::chunk(stream, chunks[j + 1], pp.recv_times[j]);
+  Program prog = out.lower([&](auto&& emit) {
+    for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+      const sum::ProcPlan& pp = plan.procs[i];
+      const auto& chunks = layout[i].chunk_sizes;
+      std::size_t operands = chunks[0];
+      SumStreams::chunk(emit, pp.proc, chunks[0], 0);
+      for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
+        out.recv(emit, pp.proc, pp.recv_from[j], pp.recv_times[j]);
+        SumStreams::chunk(emit, pp.proc, chunks[j + 1], pp.recv_times[j]);
+        operands += chunks[j + 1];
+      }
+      out.open(pp.proc, static_cast<std::int64_t>(i), operands);
+      if (pp.send_to != kNoProc) {
+        out.send(emit, pp.proc, pp.send_to, pp.send_time);
+      }
     }
-    if (pp.send_to != kNoProc) out.send(stream, pp.send_to, pp.send_time);
-  }
-  Program prog = out.take();
+  });
   annotate_recv_chains(prog);
   return prog;
 }

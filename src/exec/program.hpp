@@ -1,19 +1,28 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bcast/reduction.hpp"
 #include "sched/schedule.hpp"
 #include "sum/summation_tree.hpp"
-#include "validate/checker.hpp"
 
 /// \file program.hpp
 /// Instruction compilation: lowering a planned collective — a `Schedule`,
 /// a `bcast::ReductionPlan` or a `sum::SummationPlan` — into one in-order
 /// instruction stream per logical processor, ready for exec::Engine to run
 /// on real threads.
+///
+/// Layout: the streams of all P ranks live back to back in ONE flat
+/// `Instr` array (compressed sparse rows: P + 1 offsets, rank p's stream
+/// is [offsets[p], offsets[p + 1])), so a Program holds a fixed number of
+/// heap blocks whatever P is.  Every lowering counts each rank's
+/// instructions first and then fills the array in place
+/// (ProcStreams::build).  An instruction names its mailbox, not its peer:
+/// the peer is that link's other endpoint (Program::peer).
 ///
 /// Per processor, the stream is the plan's events in plan-time order:
 /// receives keyed by the cycle their payload becomes available, sends by
@@ -46,44 +55,151 @@ namespace logpc::exec {
 enum class Mode : std::uint8_t { kMove, kFold, kSum };
 
 enum class OpCode : std::uint8_t {
-  kSend,          ///< push the item slot (kMove) or accumulator to `peer`
-  kRecv,          ///< blocking pop from `peer`; store or fold per Mode
+  kSend,          ///< push the item slot (kMove) or accumulator on `link`
+  kRecv,          ///< blocking pop from `link`; store or fold per Mode
   kCombineLocal,  ///< kSum only: fold the next `count` local operands
 };
 
-/// One step of a processor's stream.  `when` is the planned cycle (send
-/// start / payload-available time) — carried for reporting and the
-/// predicted-vs-measured comparison, never for pacing.
+/// One step of a processor's stream, 24 bytes.  `when` is the planned
+/// cycle (send start / payload-available time) — carried for reporting and
+/// the predicted-vs-measured comparison, never for pacing.
 struct Instr {
   OpCode op = OpCode::kSend;
-  ProcId peer = kNoProc;   ///< send: destination; recv: source
   ItemId item = 0;         ///< slot to send / item expected on arrival
-  std::int32_t count = 0;  ///< kCombineLocal: operands to fold
-  std::int32_t link = -1;  ///< mailbox index (kSend/kRecv)
+  std::int32_t link = -1;  ///< mailbox index (kSend/kRecv); its endpoints
+                           ///< name the peer
+  /// By opcode:
+  ///  * kCombineLocal — local operands to fold;
+  ///  * kRecv — drain chain: this receive plus the count of immediately
+  ///    following receives on the same link (>= 1).  The engine's bulk
+  ///    drain pops at most that many messages in one acquire/release
+  ///    round — only what this stream consumes back-to-back anyway, so
+  ///    the mailbox bound keeps its capacity-constraint meaning.
+  ///    Computed at compile time;
+  ///  * kSend — 0.
+  std::int32_t count = 0;
   Time when = 0;           ///< planned cycle of the event
-  /// kRecv drain hint: this receive plus the count of immediately
-  /// following receives on the same link (>= 1).  The engine's bulk drain
-  /// pops at most `chain` messages in one acquire/release round — only
-  /// what this stream consumes back-to-back anyway, so the mailbox bound
-  /// keeps its capacity-constraint meaning.  Computed at compile time.
-  std::int32_t chain = 1;
+
+  friend bool operator==(const Instr&, const Instr&) = default;
 };
+static_assert(sizeof(Instr) <= 24, "Instr is a 24-byte stream record");
 
 /// One directed processor pair with traffic, i.e. one mailbox.
 struct Link {
   ProcId from = kNoProc;
   ProcId to = kNoProc;
+
+  friend bool operator==(const Link&, const Link&) = default;
 };
 
+/// One rank's slice of a Program, returned by value: `instrs` views the
+/// program's flat instruction array, so it stays valid for as long as that
+/// Program lives unmodified (copies and moves of the Program carry their
+/// own arrays).
 struct ProcProgram {
   ProcId proc = kNoProc;
   std::int32_t sum_index = -1;    ///< kSum: index into SummationPlan::procs
   std::size_t num_operands = 0;   ///< kSum: local operands this proc folds
-  std::vector<Instr> instrs;
+  std::span<const Instr> instrs;
 };
 
+/// The per-rank instruction streams of a Program in CSR form: one flat
+/// `Instr` array, P + 1 offsets, and — for kSum only — the parallel
+/// sum_index / num_operands arrays (empty otherwise, read as -1 / 0).
+/// Indexing and iteration yield ProcProgram views.
+class ProcStreams {
+ public:
+  /// Walks the ranks, yielding each one's view.
+  class iterator {
+   public:
+    iterator(const ProcStreams* streams, std::size_t p)
+        : streams_(streams), p_(p) {}
+    ProcProgram operator*() const { return (*streams_)[p_]; }
+    iterator& operator++() {
+      ++p_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const ProcStreams* streams_;
+    std::size_t p_;
+  };
+
+  ProcStreams() = default;
+
+  /// The constructor every lowering uses: `walk(emit)` must call
+  /// `emit(rank, instr)` for each instruction of ranks [0, P), every rank's
+  /// in stream order.  It runs twice — once to count each rank's
+  /// instructions, once to write them into their slots of the flat array —
+  /// so it must emit the same sequence both times.
+  template <class Walk>
+  [[nodiscard]] static ProcStreams build(std::size_t P, Walk&& walk);
+
+  [[nodiscard]] std::size_t size() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  [[nodiscard]] ProcProgram operator[](std::size_t p) const {
+    return ProcProgram{static_cast<ProcId>(p),
+                       sum_index_.empty() ? -1 : sum_index_[p],
+                       num_operands_.empty() ? 0 : num_operands_[p],
+                       std::span<const Instr>(instrs_).subspan(
+                           offsets_[p], offsets_[p + 1] - offsets_[p])};
+  }
+  [[nodiscard]] iterator begin() const { return iterator(this, 0); }
+  [[nodiscard]] iterator end() const { return iterator(this, size()); }
+
+  /// Every rank's stream, back to back in rank order.
+  [[nodiscard]] std::span<const Instr> instrs() const { return instrs_; }
+  /// Rank `p`'s stream, for in-place passes over a built program.
+  [[nodiscard]] std::span<Instr> stream(std::size_t p) {
+    return std::span<Instr>(instrs_).subspan(offsets_[p],
+                                             offsets_[p + 1] - offsets_[p]);
+  }
+
+  /// kSum: installs the parallel per-rank arrays — each rank's plan
+  /// participant index (-1: idle) and local operand count.  Both size P.
+  void set_operands(std::vector<std::int32_t> sum_index,
+                    std::vector<std::size_t> num_operands);
+
+  /// Exchanges the streams (and kSum entries) of ranks `a` and `b` in
+  /// place, shifting the streams between them.
+  void swap_ranks(std::size_t a, std::size_t b);
+
+ private:
+  std::vector<Instr> instrs_;
+  std::vector<std::size_t> offsets_;      ///< size P + 1
+  std::vector<std::int32_t> sum_index_;   ///< kSum: size P, else empty
+  std::vector<std::size_t> num_operands_; ///< kSum: size P, else empty
+};
+
+template <class Walk>
+ProcStreams ProcStreams::build(std::size_t P, Walk&& walk) {
+  ProcStreams s;
+  s.offsets_.assign(P + 1, 0);
+  walk([&s](ProcId p, const Instr&) {
+    ++s.offsets_[static_cast<std::size_t>(p) + 1];
+  });
+  // offsets_[p + 1] becomes rank p's first slot, then its write cursor:
+  // once every rank is written it has advanced to the rank's end, which
+  // is rank p + 1's first slot.
+  std::size_t total = 0;
+  for (std::size_t p = 1; p <= P; ++p) {
+    const std::size_t n = s.offsets_[p];
+    s.offsets_[p] = total;
+    total += n;
+  }
+  s.instrs_.resize(total);
+  walk([&s](ProcId p, const Instr& ins) {
+    s.instrs_[s.offsets_[static_cast<std::size_t>(p) + 1]++] = ins;
+  });
+  return s;
+}
+
 /// A compiled collective: everything Engine::run needs, decoupled from the
-/// planner types it was lowered from.
+/// planner types it was lowered from.  A value type: copies and moves own
+/// their arrays, views taken from `procs` belong to the object they came
+/// from.
 struct Program {
   Params params;                  ///< machine the plan was stated on
   Mode mode = Mode::kMove;
@@ -91,14 +207,17 @@ struct Program {
   int num_items = 1;              ///< item-id space (kMove slot count)
   Time predicted_makespan = 0;    ///< the plan's exact completion, cycles
   std::size_t num_messages = 0;
-  std::vector<ProcProgram> procs;          ///< size params.P
+  ProcStreams procs;                       ///< size params.P
   std::vector<Link> links;                 ///< mailbox directory
   std::vector<InitialPlacement> initials;  ///< kMove: pre-filled slots
 
-  /// The receive sequence each processor will log when execution follows
-  /// the plan — the expected side of validate::check_delivery_order.
-  [[nodiscard]] std::vector<std::vector<validate::DeliveryRecord>>
-  expected_deliveries() const;
+  /// The other end of a send's or receive's link: the destination of a
+  /// kSend, the source of a kRecv; kNoProc for kCombineLocal.
+  [[nodiscard]] ProcId peer(const Instr& ins) const {
+    if (ins.op == OpCode::kCombineLocal) return kNoProc;
+    const Link& l = links[static_cast<std::size_t>(ins.link)];
+    return ins.op == OpCode::kSend ? l.to : l.from;
+  }
 };
 
 /// Lowers a cached plan: the one Plan -> Program entry point every serving

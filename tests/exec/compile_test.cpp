@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,11 +108,10 @@ void expect_same_program(const Program& a, const Program& b,
       SCOPED_TRACE("proc " + std::to_string(p) + " instr " +
                    std::to_string(i));
       EXPECT_EQ(x.op, y.op);
-      EXPECT_EQ(x.peer, y.peer);
+      EXPECT_EQ(a.peer(x), b.peer(y));
       EXPECT_EQ(x.item, y.item);
-      EXPECT_EQ(x.count, y.count);
+      EXPECT_EQ(x.count, y.count);  // kCombineLocal operands / kRecv chain
       EXPECT_EQ(x.when, y.when);
-      EXPECT_EQ(x.chain, y.chain);
       if (x.link < 0 || y.link < 0 || same_link_ids) {
         EXPECT_EQ(x.link, y.link);
         continue;
@@ -304,6 +304,147 @@ TEST(ExecCompileRejectsKeys, WideItemCountNeverReachesALowering) {
                std::invalid_argument);
   EXPECT_THROW((void)comm.compile(Problem::kAllToAll, wide),
                std::invalid_argument);
+}
+
+// ---- CSR layout -------------------------------------------------------
+
+static_assert(sizeof(Instr) <= 24, "an instruction is a 24-byte record");
+
+/// Every rank's stream is a view into one flat array: rank p's ends exactly
+/// where rank p + 1's begins, and together they cover the whole array.
+void expect_contiguous(const Program& prog) {
+  ASSERT_EQ(prog.procs.size(), static_cast<std::size_t>(prog.params.P));
+  const std::span<const Instr> all = prog.procs.instrs();
+  EXPECT_EQ(prog.procs[0].instrs.data(), all.data());
+  for (std::size_t p = 0; p + 1 < prog.procs.size(); ++p) {
+    const std::span<const Instr> s = prog.procs[p].instrs;
+    ASSERT_EQ(s.data() + s.size(), prog.procs[p + 1].instrs.data())
+        << "rank " << p;
+  }
+  const std::span<const Instr> last = prog.procs[prog.procs.size() - 1].instrs;
+  EXPECT_EQ(last.data() + last.size(), all.data() + all.size());
+}
+
+/// A program's streams as one copied vector per rank — the layout the flat
+/// array replaced, kept here as the oracle for in-place passes.
+std::vector<std::vector<Instr>> stream_copies(const Program& prog) {
+  std::vector<std::vector<Instr>> out;
+  for (const ProcProgram& pp : prog.procs) {
+    out.emplace_back(pp.instrs.begin(), pp.instrs.end());
+  }
+  return out;
+}
+
+TEST(ProgramLayout, StreamsShareOneContiguousArrayAtP65536) {
+  Planner planner;
+  const Params m{1 << 16, 4, 1, 2};
+  for (const PlanKey& key :
+       {PlanKey::broadcast(m, 17), PlanKey::reduce(m, 17),
+        PlanKey::summation(m, 2 * static_cast<std::int64_t>(m.P))}) {
+    SCOPED_TRACE(key.to_string());
+    expect_contiguous(compile(*planner.plan(key)));
+  }
+}
+
+TEST(ProgramLayout, CopyRunsAfterItsOriginalIsDestroyed) {
+  const Params m{12, 5, 1, 3};
+  constexpr ProcId kRoot = 5;
+  Planner planner;
+  Engine engine;
+  const auto copy_of = [&](const PlanKey& key) {
+    auto original = std::make_unique<Program>(compile(*planner.plan(key)));
+    Program copy = *original;
+    original.reset();
+    return copy;
+  };
+
+  const Bytes payload = testutil::of_str("outlives its original");
+  const ExecReport moved =
+      engine.run(copy_of(PlanKey::broadcast(m, kRoot)), {payload});
+  for (ProcId p = 0; p < m.P; ++p) {
+    EXPECT_EQ(moved.item_at(p, 0), payload) << "rank " << p;
+  }
+
+  // Non-commutative folds: any change to a stream changes the bytes.
+  const PlanKey reduce_key = PlanKey::reduce(m, kRoot);
+  std::vector<Bytes> values;
+  for (ProcId p = 0; p < m.P; ++p) {
+    values.push_back(testutil::of_str(std::string(1, static_cast<char>('a' + p))));
+  }
+  EXPECT_EQ(engine.run(copy_of(reduce_key), values, testutil::concat()).folded,
+            engine.run(compile(*planner.plan(reduce_key)), values,
+                       testutil::concat())
+                .folded);
+
+  const PlanKey sum_key = PlanKey::summation(m, 40);
+  const Program sum_copy = copy_of(sum_key);
+  std::vector<std::vector<Bytes>> operands;
+  for (const ProcProgram& pp : sum_copy.procs) {
+    if (pp.sum_index < 0) continue;
+    const auto idx = static_cast<std::size_t>(pp.sum_index);
+    if (operands.size() <= idx) operands.resize(idx + 1);
+    for (std::size_t i = 0; i < pp.num_operands; ++i) {
+      operands[idx].push_back(
+          testutil::of_str(std::to_string(idx) + "." + std::to_string(i) + ";"));
+    }
+  }
+  EXPECT_EQ(engine.run(sum_copy, operands, testutil::concat()).folded,
+            engine.run(compile(*planner.plan(sum_key)), operands,
+                       testutil::concat())
+                .folded);
+}
+
+TEST(ProgramLayout, RelabelSwappedMatchesSwappingCopiedStreams) {
+  Planner planner;
+  for (const Params& m : kMachines) {
+    for (const std::int64_t k : {2, 3}) {
+      const Program normalized = compile(
+          *planner.plan(PlanKey::make(Problem::kKItemBroadcast, m, k, 0)));
+      for (ProcId root = 1; root < m.P; ++root) {
+        SCOPED_TRACE("P=" + std::to_string(m.P) + " k=" + std::to_string(k) +
+                     " root=" + std::to_string(root));
+        const auto map = [root](ProcId p) {
+          return p == 0 ? root : (p == root ? 0 : p);
+        };
+        std::vector<std::vector<Instr>> streams = stream_copies(normalized);
+        std::swap(streams[0], streams[static_cast<std::size_t>(root)]);
+        std::vector<Link> links = normalized.links;
+        for (Link& l : links) l = Link{map(l.from), map(l.to)};
+        std::vector<InitialPlacement> initials = normalized.initials;
+        for (InitialPlacement& init : initials) init.proc = map(init.proc);
+
+        for (const Program& relabeled :
+             {relabel_swapped(normalized, 0, root),
+              relabel_swapped(normalized, root, 0)}) {
+          EXPECT_EQ(stream_copies(relabeled), streams);
+          EXPECT_EQ(relabeled.links, links);
+          EXPECT_EQ(relabeled.initials, initials);
+          for (std::size_t p = 0; p < relabeled.procs.size(); ++p) {
+            EXPECT_EQ(relabeled.procs[p].proc, static_cast<ProcId>(p));
+          }
+          expect_contiguous(relabeled);
+        }
+      }
+    }
+  }
+}
+
+TEST(ProgramLayout, RelabelSwappedMovesSummationOperandCounts) {
+  // n = 5 on P = 12 leaves ranks idle: swap a participant with one.
+  Planner planner;
+  const Program prog =
+      compile(*planner.plan(PlanKey::summation(Params{12, 5, 1, 3}, 5)));
+  const ProcId idle = static_cast<ProcId>(prog.procs.size() - 1);
+  ASSERT_EQ(prog.procs[static_cast<std::size_t>(idle)].sum_index, -1);
+  const Program swapped = relabel_swapped(prog, 0, idle);
+  const ProcProgram was_root = prog.procs[0];
+  const ProcProgram now_root =
+      swapped.procs[static_cast<std::size_t>(idle)];
+  EXPECT_EQ(now_root.sum_index, was_root.sum_index);
+  EXPECT_EQ(now_root.num_operands, was_root.num_operands);
+  EXPECT_EQ(swapped.procs[0].sum_index, -1);
+  EXPECT_EQ(swapped.procs[0].num_operands, 0u);
+  EXPECT_TRUE(swapped.procs[0].instrs.empty());
 }
 
 TEST(TunedHierarchicalRun, ReportsTheHierarchicalLabel) {

@@ -339,12 +339,10 @@ TEST(Engine, TimesOutInsteadOfHangingOnImpossibleProgram) {
   prog.mode = Mode::kMove;
   prog.label = "impossible";
   prog.num_items = 1;
-  prog.procs.resize(2);
-  prog.procs[0].proc = 0;
-  prog.procs[1].proc = 1;
   prog.links.push_back(Link{1, 0});
-  prog.procs[0].instrs.push_back(
-      Instr{OpCode::kRecv, /*peer=*/1, /*item=*/0, 0, /*link=*/0, 0});
+  prog.procs = ProcStreams::build(2, [](auto&& emit) {
+    emit(0, Instr{OpCode::kRecv, /*item=*/0, /*link=*/0, 1, 0});  // from P1
+  });
   Engine::Options short_fuse;
   short_fuse.timeout_ms = 100;
   Engine engine(short_fuse);
@@ -361,12 +359,10 @@ TEST(Engine, TimeoutJoinsWorkersAndLeavesThePoolReusable) {
   impossible.mode = Mode::kMove;
   impossible.label = "impossible";
   impossible.num_items = 1;
-  impossible.procs.resize(2);
-  impossible.procs[0].proc = 0;
-  impossible.procs[1].proc = 1;
   impossible.links.push_back(Link{1, 0});
-  impossible.procs[0].instrs.push_back(
-      Instr{OpCode::kRecv, /*peer=*/1, /*item=*/0, 0, /*link=*/0, 0});
+  impossible.procs = ProcStreams::build(2, [](auto&& emit) {
+    emit(0, Instr{OpCode::kRecv, /*item=*/0, /*link=*/0, 1, 0});  // from P1
+  });
 
   Engine::Options short_fuse;
   short_fuse.timeout_ms = 100;
@@ -542,7 +538,7 @@ TEST(DeliveryEquivalence, MoveRunWithMixedSizesAgrees) {
         expect_deliveries_agree([&](Engine& e, const fault::Injector* inj) {
           return e.run(np.prog, items, inj);
         });
-    EXPECT_EQ(ref.deliveries, np.prog.expected_deliveries());
+    EXPECT_EQ(ref.deliveries, tu::expected_deliveries(np.prog));
     for (const auto& held : ref.items) {
       for (std::size_t i = 0; i < held.size(); ++i) {
         if (!held[i].empty()) {

@@ -5,11 +5,12 @@
 #include <vector>
 
 #include "exec/engine.hpp"
+#include "validate/checker.hpp"
 
-/// Shared payload helpers for the exec test suites: fixed-width integers
-/// and variable-length strings in and out of exec::Bytes, plus the two
-/// combine operators the paper's summation footnote distinguishes (a
-/// commutative one and a non-commutative one).
+/// Shared helpers for the exec test suites: fixed-width integers and
+/// variable-length strings in and out of exec::Bytes, the two combine
+/// operators the paper's summation footnote distinguishes (a commutative
+/// one and a non-commutative one), and a program's expected receive log.
 
 namespace logpc::exec::testutil {
 
@@ -52,6 +53,21 @@ inline CombineFn concat() {
   return [](Bytes& acc, std::span<const std::byte> rhs) {
     acc.insert(acc.end(), rhs.begin(), rhs.end());
   };
+}
+
+/// The receive sequence each processor will log when execution follows
+/// `prog` — the expected side of validate::check_delivery_order.
+inline std::vector<std::vector<validate::DeliveryRecord>> expected_deliveries(
+    const Program& prog) {
+  std::vector<std::vector<validate::DeliveryRecord>> out(prog.procs.size());
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    for (const Instr& ins : prog.procs[p].instrs) {
+      if (ins.op == OpCode::kRecv) {
+        out[p].push_back(validate::DeliveryRecord{prog.peer(ins), ins.item});
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace logpc::exec::testutil

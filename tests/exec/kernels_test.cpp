@@ -366,17 +366,17 @@ TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
   prog.num_items = kItems;
   prog.num_messages = kItems;
   prog.links.push_back(Link{0, 1});
-  prog.procs.resize(2);
-  prog.procs[0].proc = 0;
-  prog.procs[1].proc = 1;
   for (ItemId i = 0; i < kItems; ++i) {
     prog.initials.push_back(InitialPlacement{i, 0, 0});
-    prog.procs[0].instrs.push_back(
-        Instr{OpCode::kSend, 1, i, 0, 0, static_cast<Time>(i)});
-    prog.procs[1].instrs.push_back(Instr{OpCode::kRecv, 0, i, 0, 0,
-                                         static_cast<Time>(i + 4),
-                                         kItems - i});
   }
+  // Link 0 runs P0 -> P1; each receive's count is its chain length.
+  prog.procs = ProcStreams::build(2, [](auto&& emit) {
+    for (ItemId i = 0; i < kItems; ++i) {
+      emit(0, Instr{OpCode::kSend, i, 0, 0, static_cast<Time>(i)});
+      emit(1, Instr{OpCode::kRecv, i, 0, kItems - i,
+                    static_cast<Time>(i + 4)});
+    }
+  });
 
   std::vector<Bytes> items;
   for (int i = 0; i < kItems; ++i) {

@@ -286,10 +286,11 @@ void expect_same_streams(const exec::Program& implicit,
     ASSERT_EQ(a.size(), b.size()) << "proc " << p;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].op, b[i].op) << "proc " << p << " instr " << i;
-      EXPECT_EQ(a[i].peer, b[i].peer) << "proc " << p << " instr " << i;
+      EXPECT_EQ(implicit.peer(a[i]), materialized.peer(b[i]))
+          << "proc " << p << " instr " << i;
       EXPECT_EQ(a[i].item, b[i].item) << "proc " << p << " instr " << i;
       EXPECT_EQ(a[i].when, b[i].when) << "proc " << p << " instr " << i;
-      EXPECT_EQ(a[i].chain, b[i].chain) << "proc " << p << " instr " << i;
+      EXPECT_EQ(a[i].count, b[i].count) << "proc " << p << " instr " << i;
       const exec::Link la =
           implicit.links[static_cast<std::size_t>(a[i].link)];
       const exec::Link lb =
@@ -551,9 +552,8 @@ std::string first_difference(const exec::Program& a, const exec::Program& b) {
     for (std::size_t i = 0; i < x.instrs.size(); ++i) {
       const exec::Instr& u = x.instrs[i];
       const exec::Instr& v = y.instrs[i];
-      if (u.op != v.op || u.peer != v.peer || u.item != v.item ||
-          u.count != v.count || u.link != v.link || u.when != v.when ||
-          u.chain != v.chain) {
+      if (u.op != v.op || a.peer(u) != b.peer(v) || u.item != v.item ||
+          u.count != v.count || u.link != v.link || u.when != v.when) {
         return where + " instr " + std::to_string(i);
       }
     }
@@ -574,12 +574,15 @@ TEST(ImplicitPlan, SummationLowersLikeTheReversedTreeOracle) {
       // some deadline sums; and fewer than P, so ranks idle.
       const Time t_exact = sum::min_time_for_operands(m, P) + 1;
       const Count exact = sum::max_operands(m, t_exact);
-      for (const Count n : {Count{1}, Count{o + 1}, Count{2} * P, exact,
-                            Count{P / 2 + 1}}) {
+      for (const Count n : {Count{1}, static_cast<Count>(o + 1),
+                            Count{2} * P, exact,
+                            static_cast<Count>(P / 2 + 1)}) {
         const PlanKey key = PlanKey::summation(m, n);
         SCOPED_TRACE(key.to_string());
         const Time t = sum::min_time_for_operands(m, n);
-        if (n == exact) ASSERT_EQ(t, t_exact);
+        if (n == exact) {
+          ASSERT_EQ(t, t_exact);
+        }
         const sum::SummationPlan oracle = sum::optimal_summation(m, t);
 
         const Plan plan = Planner::build_uncached(key);
@@ -616,7 +619,8 @@ TEST(ImplicitPlan, SummationLowersLikeTheReversedTreeOracle) {
 TEST(ImplicitPlan, SummationRankQueriesMatchTheTimingView) {
   for (const Params& m : {Params{7, 3, 2, 3}, Params{24, 5, 1, 2},
                           Params{100, 2, 0, 1}, Params{1000, 4, 1, 2}}) {
-    for (const Count n : {Count{1}, Count{m.P / 2 + 1}, Count{2} * m.P}) {
+    for (const Count n :
+         {Count{1}, static_cast<Count>(m.P / 2 + 1), Count{2} * m.P}) {
       const PlanKey key = PlanKey::summation(m, n);
       SCOPED_TRACE(key.to_string());
       const ImplicitPlan plan = ImplicitPlan::build(key);

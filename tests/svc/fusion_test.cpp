@@ -541,7 +541,7 @@ TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
 }
 
 TEST(SvcFusion, RankDeathFailsEveryFusedMemberConsistently) {
-  CollectiveService::Options opts;
+  CollectiveService::Options opts{};
   // Rank 3 never executes an instruction: the fused run's acked delivery
   // escalates to a death verdict and the whole batch must fail together —
   // same error, no orphaned futures.
