@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full verification: tier-1 build + tests, then the runtime concurrency
-# tests again under ThreadSanitizer (-DLOGPC_TSAN=ON), then the obs +
-# runtime suites under ASan/UBSan (-DLOGPC_SANITIZE=address,undefined).
+# Full verification: the src/ reach check (scripts/check_src_reach.sh),
+# tier-1 build + tests, then the runtime concurrency tests again under
+# ThreadSanitizer (-DLOGPC_TSAN=ON), then the obs + runtime suites under
+# ASan/UBSan (-DLOGPC_SANITIZE=address,undefined).
 #
 #   scripts/verify.sh            # all three passes
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
@@ -20,6 +21,10 @@ for arg in "$@"; do
   esac
 done
 
+echo "=== reach: every src/ header has a non-test includer ==="
+./scripts/check_src_reach.sh
+
+echo
 echo "=== tier-1: build + full test suite (build/) ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"

@@ -105,8 +105,9 @@ Schedule Communicator::gather(ProcId root) const {
 
 sum::SummationPlan Communicator::reduce_operands(Count n) const {
   const obs::Span span("comm.reduce_operands", "comm");
-  return sum::optimal_summation(params_,
-                                sum::min_time_for_operands(params_, n));
+  const PlanPtr plan = planner_->plan(PlanKey::summation(params_, n));
+  return sum::plan_from_tree(params_, plan->implicit->to_tree(),
+                             plan->completion);
 }
 
 Time Communicator::reduce_operands_time(Count n) const {

@@ -142,7 +142,8 @@ class Communicator {
   [[nodiscard]] Time gather_time() const { return api::scatter_time(params_); }
 
   /// Summation of n input operands with unit-cost additions (Section 5);
-  /// requires g >= o + 1.
+  /// requires g >= o + 1.  Read off the planner's cached summation plan,
+  /// so a repeat call builds nothing.
   [[nodiscard]] sum::SummationPlan reduce_operands(Count n) const;
   [[nodiscard]] Time reduce_operands_time(Count n) const;
 

@@ -494,8 +494,6 @@ void worker(Run& run, int wi) {
       } else {
         fold(std::span<const std::byte>(m.data, m.size));
       }
-      run.report.deliveries[p].push_back(
-          validate::DeliveryRecord{ev.peer, m.item});
     }
     ev.end_ns = run.now_ns();
     events.push_back(ev);
@@ -531,7 +529,6 @@ ExecReport blank_report(const Program& program) {
   report.messages = program.num_messages;
   const std::size_t P = program.procs.size();
   report.events.resize(P);
-  report.deliveries.resize(P);
   report.fault_events.resize(P);
   report.folded.resize(P);
   return report;
@@ -570,6 +567,19 @@ Staging stage_items(const Program& program, ExecReport& report,
 }
 
 }  // namespace
+
+std::vector<std::vector<validate::DeliveryRecord>> ExecReport::deliveries()
+    const {
+  std::vector<std::vector<validate::DeliveryRecord>> out(events.size());
+  for (std::size_t p = 0; p < events.size(); ++p) {
+    for (const ExecEvent& ev : events[p]) {
+      if (ev.kind == ExecEvent::Kind::kRecv) {
+        out[p].push_back(validate::DeliveryRecord{ev.peer, ev.item});
+      }
+    }
+  }
+  return out;
+}
 
 Engine& Engine::shared() {
   static Engine* engine = new Engine();  // leaked: outlives static teardown

@@ -46,11 +46,13 @@
 /// plan's dependency graph executed raw, and the returned timestamps are
 /// what exec::measure() fits effective (L, o, g) from.
 ///
-/// Every run records per-processor send/recv timestamps and the observed
-/// delivery sequence (cross-checkable with validate::check_delivery_order),
-/// increments the logpc_exec_* metrics, and wraps itself plus each worker
-/// in obs spans, so executions land in the Chrome-trace exporter next to
-/// sim::Trace timelines.
+/// Every run records one log, the per-processor send/recv events
+/// (ExecReport::events); the observed delivery sequence is its projection
+/// onto receives (ExecReport::deliveries(), cross-checkable with
+/// validate::check_delivery_order).  A run also increments the
+/// logpc_exec_* metrics and wraps itself plus each worker in obs spans, so
+/// executions land in the Chrome-trace exporter next to sim::Trace
+/// timelines.
 ///
 /// Fault tolerance: pass a fault::Injector to run() (or construct the
 /// engine with Options::acked) and the engine switches every link to *acked
@@ -142,7 +144,6 @@ struct ExecReport {
   /// because one worker thread records its events sequentially on the
   /// steady clock.  obs::analyze() builds the causal DAG on top of this.
   std::vector<std::vector<ExecEvent>> events;  ///< [proc], in stream order
-  std::vector<std::vector<validate::DeliveryRecord>> deliveries;  ///< [proc]
   /// Injected faults, per processor in injection order.  Decisions are
   /// deterministic in the fault seed, so two same-seed runs produce equal
   /// logs (duplicate discards, which depend on retransmit timing, are
@@ -150,6 +151,12 @@ struct ExecReport {
   std::vector<std::vector<fault::FaultEvent>> fault_events;
   std::vector<std::vector<Bytes>> items;  ///< kMove results: [proc][item]
   std::vector<Bytes> folded;  ///< kFold/kSum accumulators: [proc]
+
+  /// The observed delivery sequence, [proc]: the (peer, item) of every
+  /// receive event in `events`, in stream order — what
+  /// validate::check_delivery_order and check_exactly_once take.
+  [[nodiscard]] std::vector<std::vector<validate::DeliveryRecord>>
+  deliveries() const;
 
   /// kMove: processor p's copy of `item`.
   [[nodiscard]] const Bytes& item_at(ProcId p, ItemId item) const {

@@ -102,14 +102,6 @@ auto with_shared_fib(Time L, F&& query) {
 
 }  // namespace
 
-Count shared_fib_f(Time L, Time i) {
-  return with_shared_fib(L, [&](const Fib& fib) { return fib.f(i); });
-}
-
-Count shared_fib_sum(Time L, Time i) {
-  return with_shared_fib(L, [&](const Fib& fib) { return fib.sum(i); });
-}
-
 Time shared_B_of_P(Time L, Count P) {
   return with_shared_fib(L, [&](const Fib& fib) { return fib.B_of_P(P); });
 }

@@ -38,7 +38,7 @@ class ImplicitPlan;
 ///    source, and the per-node builders are only its test oracles;
 ///  * `schedule` — the per-op IR, present iff `materialized` (for an
 ///    implicit plan, implicit->to_schedule()).
-/// Past Planner::Options::materialize_threshold the planner keeps the
+/// Past Planner::kMaterializeThreshold the planner keeps the
 /// implicit form alone, which is what makes million-rank cache entries
 /// O(log P)-sized.  Use runtime::plan_schedule(plan) when you need a
 /// Schedule regardless of representation.

@@ -74,28 +74,7 @@ bcast::BroadcastTree decoded_tree(Problem family, const Params& m) {
 
 }  // namespace
 
-Planner::Planner(Options options)
-    : options_(validated(options)),
-      cache_(options_.cache_capacity, options_.cache_shards) {
-  register_metrics();
-}
-
-Planner::Options Planner::validated(const Options& options) {
-  if (options.cache_capacity < 1) {
-    throw std::invalid_argument(
-        "Planner: cache_capacity must be >= 1 (an uncacheable planner "
-        "would rebuild every plan; use build_uncached directly instead)");
-  }
-  if (options.cache_shards < 1) {
-    throw std::invalid_argument("Planner: cache_shards must be >= 1");
-  }
-  if (options.materialize_threshold < 1) {
-    throw std::invalid_argument(
-        "Planner: materialize_threshold must be >= 1 (problems without an "
-        "implicit form materialize regardless, so 0 is not 'never')");
-  }
-  return options;
-}
+Planner::Planner() { register_metrics(); }
 
 void Planner::register_metrics() {
   static std::atomic<int> next_id{0};
@@ -270,7 +249,7 @@ PlanPtr Planner::plan(const PlanKey& key) {
     // Past the threshold, implicit-capable plans skip the O(P) IR build
     // and are cached as O(log P) generator entries.
     const bool materialize = !ImplicitPlan::supports(key) ||
-                             key.params.P <= options_.materialize_threshold;
+                             key.params.P <= kMaterializeThreshold;
     PlanPtr plan;
     {
       obs::Span span("planner.build", "planner");

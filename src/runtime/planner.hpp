@@ -29,6 +29,9 @@
 /// Builder exceptions propagate to the building thread and every waiter;
 /// nothing is cached, so a later request retries.
 ///
+/// A planner has no settable values: the cache budget and the size past
+/// which plans stay implicit-only are the class constants below.
+///
 /// Telemetry (src/obs): every planner shares the process-wide dedup-wait
 /// counter and the per-problem build-latency histograms
 /// (`logpc_planner_build_latency_ns{problem=...}`), and registers callback
@@ -42,19 +45,17 @@ namespace logpc::runtime {
 
 class Planner {
  public:
-  struct Options {
-    std::size_t cache_capacity = 4096;
-    std::size_t cache_shards = 8;
-    /// Largest P for which an implicit-capable plan also materializes its
-    /// per-op Schedule.  Past this, plan() stores the O(log P) implicit
-    /// form alone (Plan::materialized == false) — the switch that makes
-    /// million-rank planning feasible in time and cache memory.  Problems
-    /// without an implicit form always materialize, whatever P.
-    int materialize_threshold = 1 << 16;
-  };
+  /// Plan-cache budget: LRU entries, split over this many shards.
+  static constexpr std::size_t kCacheCapacity = 4096;
+  static constexpr std::size_t kCacheShards = 8;
+  /// Largest P for which an implicit-capable plan also materializes its
+  /// per-op Schedule.  Past this, plan() stores the O(log P) implicit
+  /// form alone (Plan::materialized == false) — the switch that makes
+  /// million-rank planning feasible in time and cache memory.  Problems
+  /// without an implicit form always materialize, whatever P.
+  static constexpr int kMaterializeThreshold = 1 << 16;
 
-  Planner() : Planner(Options{}) {}
-  explicit Planner(Options options);
+  Planner();
   ~Planner();
   Planner(const Planner&) = delete;
   Planner& operator=(const Planner&) = delete;
@@ -126,16 +127,9 @@ class Planner {
   [[nodiscard]] int telemetry_id() const { return telemetry_id_; }
 
  private:
-  /// Rejects degenerate Options (zero capacity/shards/threshold) with
-  /// std::invalid_argument instead of silently misbehaving; returns the
-  /// options unchanged so the constructor can validate before any member
-  /// that consumes them is built.
-  static Options validated(const Options& options);
-
   void register_metrics();
 
-  Options options_;
-  PlanCache cache_;
+  PlanCache cache_{kCacheCapacity, kCacheShards};
   std::atomic<std::uint64_t> builds_{0};
   std::mutex inflight_mu_;
   std::unordered_map<PlanKey, std::shared_future<PlanPtr>, PlanKeyHash>

@@ -205,13 +205,6 @@ void Engine::set_program(ProcId p, std::unique_ptr<Program> program) {
   impl_->proc(p).program = std::move(program);
 }
 
-void Engine::set_programs(
-    const std::function<std::unique_ptr<Program>(ProcId)>& factory) {
-  for (ProcId p = 0; p < impl_->prm.P; ++p) {
-    set_program(p, factory(p));
-  }
-}
-
 void Engine::place(ItemId item, ProcId proc, Time time) {
   if (proc < 0 || proc >= impl_->prm.P) {
     throw std::invalid_argument("Engine::place: bad processor");

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,10 +41,6 @@ class Engine {
 
   /// Installs the program for processor `p` (default: inert program).
   void set_program(ProcId p, std::unique_ptr<Program> program);
-
-  /// Installs programs for all processors from a factory.
-  void set_programs(
-      const std::function<std::unique_ptr<Program>(ProcId)>& factory);
 
   /// Makes `item` available at `proc` from cycle `time` (delivered to the
   /// program as an on_item event).

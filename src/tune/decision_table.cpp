@@ -55,13 +55,6 @@ int size_class_of(std::size_t bytes) {
   return static_cast<int>(std::bit_width(bytes - 1));
 }
 
-std::size_t size_class_bytes(int size_class) {
-  if (size_class < 0 || size_class > 63) {
-    throw std::invalid_argument("size_class_bytes: class outside [0, 63]");
-  }
-  return std::size_t{1} << size_class;
-}
-
 void DecisionTable::set(const DecisionKey& key, const Decision& decision) {
   if (static_cast<int>(key.collective) >= kNumCollectives) {
     throw std::invalid_argument("DecisionTable: unknown collective");
@@ -125,11 +118,6 @@ const Decision* DecisionTable::find(Collective collective, int P,
     return (wanted - below_class) <= (above_class - wanted) ? below : above;
   }
   return below ? below : above;
-}
-
-const Decision* DecisionTable::find_class(const DecisionKey& key) const {
-  const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
 }
 
 void DecisionTable::save(std::ostream& os) const {

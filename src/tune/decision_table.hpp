@@ -44,10 +44,6 @@ inline constexpr int kNumCollectives = 1;
 /// (class 0 holds 0- and 1-byte payloads).
 [[nodiscard]] int size_class_of(std::size_t bytes);
 
-/// The largest payload of `size_class` (2^size_class bytes) — the
-/// representative size the tuner benchmarks for the class.
-[[nodiscard]] std::size_t size_class_bytes(int size_class);
-
 struct DecisionKey {
   Collective collective = Collective::kBroadcast;
   int P = 0;
@@ -88,9 +84,6 @@ class DecisionTable {
   /// table lives — the planner's warm fast path is this one map probe.
   [[nodiscard]] const Decision* find(Collective collective, int P,
                                      std::size_t bytes) const;
-
-  /// Exact-class probe (no snapping); nullptr when untuned.
-  [[nodiscard]] const Decision* find_class(const DecisionKey& key) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }

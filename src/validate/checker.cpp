@@ -113,14 +113,14 @@ class Checker {
       std::sort(recvs[p].begin(), recvs[p].end());
       for (std::size_t i = 1; i < sends[p].size(); ++i) {
         if (sends[p][i] - sends[p][i - 1] < g) {
-          add(Rule::kSendGap, "P" + std::to_string(p) + " sends at t=" +
+          add(Rule::kSendGap, 'P' + std::to_string(p) + " sends at t=" +
                                   std::to_string(sends[p][i - 1]) + " and t=" +
                                   std::to_string(sends[p][i]));
         }
       }
       for (std::size_t i = 1; i < recvs[p].size(); ++i) {
         if (recvs[p][i] - recvs[p][i - 1] < g) {
-          add(Rule::kRecvGap, "P" + std::to_string(p) + " receives at t=" +
+          add(Rule::kRecvGap, 'P' + std::to_string(p) + " receives at t=" +
                                   std::to_string(recvs[p][i - 1]) + " and t=" +
                                   std::to_string(recvs[p][i]));
         }
@@ -132,7 +132,7 @@ class Checker {
           for (const Time rt : recvs[p]) {
             if (st < rt + o && rt < st + o) {
               add(Rule::kOverheadOverlap,
-                  "P" + std::to_string(p) + " send@" + std::to_string(st) +
+                  'P' + std::to_string(p) + " send@" + std::to_string(st) +
                       " vs recv@" + std::to_string(rt));
             }
           }
@@ -171,7 +171,7 @@ class Checker {
         }
         if (worst > opts_.buffer_limit) {
           add(Rule::kBufferOverflow,
-              "P" + std::to_string(proc) + " holds " + std::to_string(worst) +
+              'P' + std::to_string(proc) + " holds " + std::to_string(worst) +
                   " buffered items (limit " +
                   std::to_string(opts_.buffer_limit) + ")");
         }
@@ -295,14 +295,14 @@ CheckResult check_delivery_order(
     const auto& exp = expected[p];
     const auto& obs = observed[p];
     if (exp.size() != obs.size()) {
-      add("P" + std::to_string(p) + ": " + std::to_string(obs.size()) +
+      add('P' + std::to_string(p) + ": " + std::to_string(obs.size()) +
           " receptions executed, plan prescribes " +
           std::to_string(exp.size()));
       continue;
     }
     for (std::size_t i = 0; i < exp.size(); ++i) {
       if (!(exp[i] == obs[i])) {
-        add("P" + std::to_string(p) + " reception " + std::to_string(i) +
+        add('P' + std::to_string(p) + " reception " + std::to_string(i) +
             ": got item " + std::to_string(obs[i].item) + " from P" +
             std::to_string(obs[i].from) + ", plan says item " +
             std::to_string(exp[i].item) + " from P" +
@@ -323,7 +323,7 @@ CheckResult check_exactly_once(
         if (obs[i] == obs[j]) {
           result.violations.push_back(Violation{
               Rule::kDuplicateReceive,
-              "P" + std::to_string(p) + " accepted item " +
+              'P' + std::to_string(p) + " accepted item " +
                   std::to_string(obs[i].item) + " from P" +
                   std::to_string(obs[i].from) + " twice (receptions " +
                   std::to_string(i) + " and " + std::to_string(j) +

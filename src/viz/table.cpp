@@ -16,7 +16,7 @@ std::string reception_table(const Schedule& s) {
     auto& cell = cells[static_cast<std::size_t>(init.proc)]
                       [static_cast<std::size_t>(init.time)];
     if (!cell.empty()) cell += ",";
-    cell += "(" + std::to_string(init.item + 1) + ")";
+    cell += '(' + std::to_string(init.item + 1) + ')';
   }
   for (const auto& op : s.sends()) {
     const Time at = s.available_at(op);
@@ -26,7 +26,7 @@ std::string reception_table(const Schedule& s) {
     auto& cell =
         cells[static_cast<std::size_t>(op.to)][static_cast<std::size_t>(at)];
     if (!cell.empty()) cell += ",";
-    cell += delayed ? "[" + std::to_string(op.item + 1) + "]"
+    cell += delayed ? '[' + std::to_string(op.item + 1) + ']'
                     : std::to_string(op.item + 1);
   }
   std::size_t width = 2;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "sched/metrics.hpp"
 #include "validate/checker.hpp"
@@ -86,6 +89,45 @@ TEST(Communicator, ReduceOperandsInvertsTime) {
   const auto plan = comm.reduce_operands(n);
   EXPECT_GE(plan.total_operands, n);
   EXPECT_EQ(plan.t, comm.reduce_operands_time(n));
+}
+
+TEST(Communicator, ReduceOperandsIsTheOptimalSummationFromTheCachedPlan) {
+  for (const Params& machine :
+       {Params{1, 8, 1, 4}, Params{1, 2, 0, 1}, Params{1, 5, 2, 3}}) {
+    for (const ProcId P : {1, 2, 3, 7, 8, 100, 4097}) {
+      Params m = machine;
+      m.P = P;
+      const auto planner = std::make_shared<runtime::Planner>();
+      const Communicator comm(m, planner);
+      for (const auto n : {Count{1}, static_cast<Count>(2 * P),
+                           static_cast<Count>(P / 2 + 1)}) {
+        SCOPED_TRACE("P=" + std::to_string(P) + " L=" + std::to_string(m.L) +
+                     " o=" + std::to_string(m.o) + " g=" +
+                     std::to_string(m.g) + " n=" + std::to_string(n));
+        const sum::SummationPlan got = comm.reduce_operands(n);
+        const sum::SummationPlan want =
+            sum::optimal_summation(m, sum::min_time_for_operands(m, n));
+        EXPECT_EQ(got.params, want.params);
+        EXPECT_EQ(got.t, want.t);
+        EXPECT_EQ(got.root, want.root);
+        EXPECT_EQ(got.total_operands, want.total_operands);
+        ASSERT_EQ(got.procs.size(), want.procs.size());
+        for (std::size_t i = 0; i < got.procs.size(); ++i) {
+          EXPECT_EQ(got.procs[i].proc, want.procs[i].proc) << i;
+          EXPECT_EQ(got.procs[i].send_time, want.procs[i].send_time) << i;
+          EXPECT_EQ(got.procs[i].send_to, want.procs[i].send_to) << i;
+          EXPECT_EQ(got.procs[i].recv_times, want.procs[i].recv_times) << i;
+          EXPECT_EQ(got.procs[i].recv_from, want.procs[i].recv_from) << i;
+        }
+        // Read off the cached summation plan; a repeat call rebuilds nothing.
+        EXPECT_TRUE(
+            planner->cache().contains(runtime::PlanKey::summation(m, n)));
+        const std::uint64_t builds = planner->builds();
+        (void)comm.reduce_operands(n);
+        EXPECT_EQ(planner->builds(), builds);
+      }
+    }
+  }
 }
 
 TEST(Communicator, AlltoallMatchesBound) {

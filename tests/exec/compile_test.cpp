@@ -15,6 +15,7 @@
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
 #include "exec_test_util.hpp"
+#include "runtime/implicit_plan.hpp"
 #include "runtime/planner.hpp"
 #include "sum/summation_tree.hpp"
 #include "tune/decision_table.hpp"
@@ -72,13 +73,27 @@ PlanKey key_for(const Lowering& c, const Params& m, ProcId root) {
   return PlanKey::make(c.problem, m, c.k, root);
 }
 
-/// A default planner (both representations for implicit-capable keys) and
-/// an implicit-only one (materialize_threshold = 1).
-std::vector<std::shared_ptr<Planner>> planners() {
-  Planner::Options implicit_only;
-  implicit_only.materialize_threshold = 1;
-  return {std::make_shared<Planner>(),
-          std::make_shared<Planner>(implicit_only)};
+/// A planner and the representation its implicit-capable plans take.  The
+/// default planner caches both; an implicit-only case first seeds its
+/// cache with Planner::build_uncached(key, false), the form plan() caches
+/// past Planner::kMaterializeThreshold.
+struct PlannerCase {
+  std::shared_ptr<Planner> planner;
+  bool implicit_only = false;
+
+  [[nodiscard]] runtime::PlanPtr plan(const PlanKey& key) const {
+    if (implicit_only && runtime::ImplicitPlan::supports(key) &&
+        !planner->cache().contains(key)) {
+      planner->cache().put(key, std::make_shared<const Plan>(
+                                    Planner::build_uncached(key, false)));
+    }
+    return planner->plan(key);
+  }
+};
+
+std::vector<PlannerCase> planners() {
+  return {{std::make_shared<Planner>(), false},
+          {std::make_shared<Planner>(), true}};
 }
 
 /// Field-by-field equality.  With `same_link_ids` false, instructions
@@ -163,12 +178,14 @@ class ExecCompile : public ::testing::TestWithParam<Lowering> {};
 
 TEST_P(ExecCompile, LowersEveryPlanLikeItsPerIrReference) {
   const Lowering& c = GetParam();
-  for (const auto& planner : planners()) {
+  for (const PlannerCase& planner : planners()) {
     for (const Params& m : kMachines) {
       for (const ProcId root : {ProcId{0}, static_cast<ProcId>(m.P - 1)}) {
         const PlanKey key = key_for(c, m, root);
         SCOPED_TRACE(key.to_string());
-        const runtime::PlanPtr plan = planner->plan(key);
+        const runtime::PlanPtr plan = planner.plan(key);
+        EXPECT_EQ(plan->materialized,
+                  !planner.implicit_only || plan->implicit == nullptr);
         const Program program = compile(*plan);
         EXPECT_EQ(program.predicted_makespan, plan->completion);
         EXPECT_EQ(program.label, c.label);
@@ -189,15 +206,15 @@ TEST_P(ExecCompile, CommunicatorCompileIsThePlanLowering) {
                  std::invalid_argument);
     return;
   }
-  for (const auto& planner : planners()) {
+  for (const PlannerCase& planner : planners()) {
     for (const Params& m : kMachines) {
-      const api::Communicator comm(m, planner);
+      const api::Communicator comm(m, planner.planner);
       for (const ProcId root : {ProcId{0}, static_cast<ProcId>(m.P - 1)}) {
         SCOPED_TRACE("P=" + std::to_string(m.P) +
                      " root=" + std::to_string(root));
-        const Program via_comm = comm.compile(c.problem, c.k, root);
         const Program lowered =
-            compile(*planner->plan(PlanKey::make(c.problem, m, c.k, root)));
+            compile(*planner.plan(PlanKey::make(c.problem, m, c.k, root)));
+        const Program via_comm = comm.compile(c.problem, c.k, root);
         if (c.problem == Problem::kKItemBroadcast) {
           // The k-item key pins root 0; other roots relabel that program.
           expect_same_program(
@@ -235,13 +252,13 @@ class ExecCompileRejects : public ::testing::TestWithParam<Problem> {};
 
 TEST_P(ExecCompileRejects, ProblemsWithoutExecutionSemanticsThrow) {
   const Problem problem = GetParam();
-  for (const auto& planner : planners()) {
+  for (const PlannerCase& planner : planners()) {
     for (const Params& m : {kMachines[0], kMachines[2]}) {
       const runtime::PlanPtr plan =
-          planner->plan(PlanKey::make(problem, m, 2));
+          planner.plan(PlanKey::make(problem, m, 2));
       EXPECT_THROW((void)compile(*plan), std::invalid_argument)
           << plan->key.to_string();
-      const api::Communicator comm(m, planner);
+      const api::Communicator comm(m, planner.planner);
       EXPECT_THROW((void)comm.compile(problem, 2), std::invalid_argument)
           << plan->key.to_string();
     }

@@ -65,7 +65,7 @@ TEST(Engine, SingleItemBroadcastDeliversBytesEverywhere) {
   EXPECT_EQ(report.messages, s.sends().size());
   EXPECT_GT(report.wall_ns, 0u);
   EXPECT_EQ(report.predicted_makespan, s.makespan());
-  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
+  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
   EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
 }
 
@@ -89,7 +89,7 @@ TEST(Engine, KItemBroadcastDeliversEveryItemOnce) {
     }
   }
   EXPECT_TRUE(
-      validate::check_delivery_order(plan.schedule, report.deliveries).ok());
+      validate::check_delivery_order(plan.schedule, report.deliveries()).ok());
   EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
 }
 
@@ -118,7 +118,7 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
   }
   EXPECT_TRUE(
-      validate::check_delivery_order(plan.schedule, report.deliveries).ok());
+      validate::check_delivery_order(plan.schedule, report.deliveries()).ok());
   // And it matches the bulk run bit for bit.
   const Schedule bulk = bcast::optimal_single_item(params);
   const ExecReport bulk_report =
@@ -158,7 +158,7 @@ TEST(Engine, AllToAllKDeliversAllItems) {
                 1000u + static_cast<std::uint64_t>(i));
     }
   }
-  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
+  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
   EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
 }
 
@@ -215,7 +215,7 @@ TEST(Engine, ReductionFoldsInArrivalOrder) {
     std::vector<Bytes> values;
     std::vector<std::string> strings;
     for (int p = 0; p < params.P; ++p) {
-      strings.push_back("<" + std::to_string(p) + ">");
+      strings.push_back('<' + std::to_string(p) + '>');
       values.push_back(tu::of_str(strings.back()));
     }
     const std::string expected = bcast::execute_reduction<std::string>(
@@ -240,7 +240,7 @@ TEST(Engine, SummationMatchesSequentialFoldInCombinationOrder) {
   int next = 0;
   for (std::size_t i = 0; i < layout.size(); ++i) {
     for (std::size_t j = 0; j < layout[i].total(); ++j) {
-      op_strings[i].push_back("[" + std::to_string(next++) + "]");
+      op_strings[i].push_back('[' + std::to_string(next++) + ']');
       operands[i].push_back(tu::of_str(op_strings[i].back()));
     }
   }
@@ -494,7 +494,7 @@ ExecReport expect_deliveries_agree(Go&& go) {
     const char* name = run == &acked_run ? "acked" : "acked with drops";
     EXPECT_EQ(run->items, ref.items) << name;
     EXPECT_EQ(run->folded, ref.folded) << name;
-    EXPECT_EQ(run->deliveries, ref.deliveries) << name;
+    EXPECT_EQ(run->deliveries(), ref.deliveries()) << name;
   }
   return ref;
 }
@@ -538,7 +538,7 @@ TEST(DeliveryEquivalence, MoveRunWithMixedSizesAgrees) {
         expect_deliveries_agree([&](Engine& e, const fault::Injector* inj) {
           return e.run(np.prog, items, inj);
         });
-    EXPECT_EQ(ref.deliveries, tu::expected_deliveries(np.prog));
+    EXPECT_EQ(ref.deliveries(), tu::expected_deliveries(np.prog));
     for (const auto& held : ref.items) {
       for (std::size_t i = 0; i < held.size(); ++i) {
         if (!held[i].empty()) {
@@ -577,7 +577,7 @@ TEST(DeliveryEquivalence, FoldRunAgrees) {
     std::vector<Bytes> values;
     std::vector<std::string> strings;
     for (int p = 0; p < params.P; ++p) {
-      strings.push_back("<" + std::to_string(p) + ">");
+      strings.push_back('<' + std::to_string(p) + '>');
       values.push_back(tu::of_str(strings.back()));
     }
     const ExecReport ref =
@@ -603,7 +603,7 @@ TEST(DeliveryEquivalence, NonCommutativeSumRunAgrees) {
     int next = 0;
     for (std::size_t i = 0; i < layout.size(); ++i) {
       for (std::size_t j = 0; j < layout[i].total(); ++j) {
-        operands[i].push_back(tu::of_str("[" + std::to_string(next++) + "]"));
+        operands[i].push_back(tu::of_str('[' + std::to_string(next++) + ']'));
         total_bytes += operands[i].back().size();
       }
     }

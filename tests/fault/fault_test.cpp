@@ -140,8 +140,8 @@ TEST(EngineFault, BroadcastSurvivesDropsWithExactlyOnceDelivery) {
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
   }
-  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
-  EXPECT_TRUE(validate::check_exactly_once(report.deliveries).ok());
+  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
+  EXPECT_TRUE(validate::check_exactly_once(report.deliveries()).ok());
   // drop_prob 0.7 over 7 messages: some delivery was dropped and retried
   // at any seed with overwhelming probability -- but only assert the
   // accounting is consistent, not that faults fired.
@@ -224,7 +224,7 @@ TEST(EngineFault, SummationUnderDropsKeepsNonCommutativeOrder) {
   int next = 0;
   for (std::size_t i = 0; i < layout.size(); ++i) {
     for (std::size_t j = 0; j < layout[i].total(); ++j) {
-      operands[i].push_back(tu::of_str("[" + std::to_string(next++) + "]"));
+      operands[i].push_back(tu::of_str('[' + std::to_string(next++) + ']'));
     }
   }
 
@@ -242,7 +242,7 @@ TEST(EngineFault, SummationUnderDropsKeepsNonCommutativeOrder) {
   // fold byte for byte.
   EXPECT_EQ(tu::to_str(faulty.folded_at(plan.root)),
             tu::to_str(clean.folded_at(plan.root)));
-  EXPECT_TRUE(validate::check_exactly_once(faulty.deliveries).ok());
+  EXPECT_TRUE(validate::check_exactly_once(faulty.deliveries()).ok());
 }
 
 TEST(CheckExactlyOnce, FlagsALeakedDuplicate) {
@@ -378,10 +378,10 @@ TEST(Recovery, BroadcastCompletesOnSurvivorsAfterMidRunDeath) {
         << "survivor " << res.survivors[p];
   }
   ASSERT_NE(res.plan, nullptr);
+  const auto deliveries = res.report.deliveries();
   EXPECT_TRUE(
-      validate::check_delivery_order(res.plan->schedule, res.report.deliveries)
-          .ok());
-  EXPECT_TRUE(validate::check_exactly_once(res.report.deliveries).ok());
+      validate::check_delivery_order(res.plan->schedule, deliveries).ok());
+  EXPECT_TRUE(validate::check_exactly_once(deliveries).ok());
 }
 
 TEST(Recovery, SameSeedSameRecoveryAndSameEventLog) {

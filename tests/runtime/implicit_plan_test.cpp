@@ -476,13 +476,15 @@ TEST(ImplicitPlan, MillionRankPlansStayImplicitAndTiny) {
 }
 
 TEST(ImplicitPlan, PlannerThresholdControlsMaterialization) {
-  Planner::Options opts;
-  opts.materialize_threshold = 64;
-  Planner planner(opts);
-  const PlanPtr small = planner.plan(PlanKey::broadcast(Params{64, 4, 1, 2}));
+  constexpr int kThreshold = Planner::kMaterializeThreshold;
+  static_assert(kThreshold == 1 << 16);
+  Planner planner;
+  const PlanPtr small =
+      planner.plan(PlanKey::broadcast(Params{kThreshold, 4, 1, 2}));
   EXPECT_TRUE(small->materialized);
   EXPECT_NE(small->implicit, nullptr);
-  const PlanPtr big = planner.plan(PlanKey::broadcast(Params{65, 4, 1, 2}));
+  const PlanPtr big =
+      planner.plan(PlanKey::broadcast(Params{kThreshold + 1, 4, 1, 2}));
   EXPECT_FALSE(big->materialized);
   ASSERT_NE(big->implicit, nullptr);
   // plan_schedule materializes on demand and matches the direct builder.
@@ -496,14 +498,18 @@ TEST(ImplicitPlan, PlannerThresholdControlsMaterialization) {
 }
 
 TEST(ImplicitPlan, SnapshotsRoundTripBothRepresentations) {
-  Planner::Options opts;
-  opts.materialize_threshold = 32;
-  Planner planner(opts);
-  (void)planner.plan(PlanKey::broadcast(Params{16, 3, 1, 2}));   // materialized
-  (void)planner.plan(PlanKey::broadcast(Params{4096, 3, 1, 2})); // implicit-only
-  (void)planner.plan(PlanKey::reduce(Params{100, 2, 0, 1}));     // implicit-only
+  // One materialized entry and two implicit-only ones, the form plan()
+  // caches past Planner::kMaterializeThreshold.
+  PlanCache cache(16, 1);
+  const auto seed = [&](const PlanKey& key, bool materialize) {
+    cache.put(key, std::make_shared<const Plan>(
+                       Planner::build_uncached(key, materialize)));
+  };
+  seed(PlanKey::broadcast(Params{16, 3, 1, 2}), true);
+  seed(PlanKey::broadcast(Params{4096, 3, 1, 2}), false);
+  seed(PlanKey::reduce(Params{100, 2, 0, 1}), false);
   std::stringstream buf;
-  EXPECT_EQ(save_snapshot(planner.cache(), buf), 3u);
+  EXPECT_EQ(save_snapshot(cache, buf), 3u);
 
   PlanCache restored(16, 1);
   EXPECT_EQ(load_snapshot(restored, buf), 3u);

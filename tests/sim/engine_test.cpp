@@ -69,13 +69,13 @@ TEST(Engine, OptimalTreeProgramReproducesFigure1Time) {
   ASSERT_EQ(tree.makespan(), 24);
   Engine e(params, 1);
   // Node i of the tree is processor i (node order = label order).
-  e.set_programs([&](ProcId p) -> std::unique_ptr<Program> {
+  for (ProcId p = 0; p < params.P; ++p) {
     std::vector<ProcId> targets;
     for (const int child : tree.node(p).children) {
       targets.push_back(static_cast<ProcId>(child));
     }
-    return std::make_unique<ForwardTo>(std::move(targets));
-  });
+    e.set_program(p, std::make_unique<ForwardTo>(std::move(targets)));
+  }
   e.place(0, 0, 0);
   const auto r = e.run();
   EXPECT_EQ(r.makespan, 24);

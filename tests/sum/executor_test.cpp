@@ -88,7 +88,7 @@ TEST(Executor, NonCommutativeOperatorViaRenumbering) {
   std::string expected;
   for (std::size_t r = 0; r < order.size(); ++r) {
     const auto& [proc, idx] = order[r];
-    const std::string label = "[" + std::to_string(r) + "]";
+    const std::string label = '[' + std::to_string(r) + ']';
     operands[index_of_proc[static_cast<std::size_t>(proc)]][idx] = label;
     expected += label;
   }

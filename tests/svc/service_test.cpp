@@ -339,7 +339,7 @@ TEST(SvcService, DrainingShutdownCompletesQueuedWork) {
                                           .queue_capacity = 16});
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 8; ++i) {
-    SubmitResult sub = svc.submit(t, bcast_req("d" + std::to_string(i)));
+    SubmitResult sub = svc.submit(t, bcast_req('d' + std::to_string(i)));
     ASSERT_TRUE(sub.accepted());
     futures.push_back(std::move(sub.response));
   }

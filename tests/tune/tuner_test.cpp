@@ -57,9 +57,6 @@ TEST(SizeClass, CeilLog2WithZeroAndOneInClassZero) {
   EXPECT_EQ(size_class_of(4), 2);
   EXPECT_EQ(size_class_of(4096), 12);
   EXPECT_EQ(size_class_of(4097), 13);
-  EXPECT_EQ(size_class_bytes(12), 4096u);
-  EXPECT_THROW((void)size_class_bytes(-1), std::invalid_argument);
-  EXPECT_THROW((void)size_class_bytes(64), std::invalid_argument);
 }
 
 TEST(DecisionTable, FindSnapsToTheNearestTunedClass) {
@@ -92,8 +89,8 @@ TEST(DecisionTable, FindSnapsToTheNearestTunedClass) {
 
   // Untuned machine size: no decision at all.
   EXPECT_EQ(table.find(Collective::kBroadcast, 16, 256), nullptr);
-  EXPECT_EQ(table.find_class({Collective::kBroadcast, 8, 9}), nullptr);
-  EXPECT_NE(table.find_class({Collective::kBroadcast, 8, 8}), nullptr);
+  EXPECT_FALSE(table.entries().contains({Collective::kBroadcast, 8, 9}));
+  EXPECT_TRUE(table.entries().contains({Collective::kBroadcast, 8, 8}));
 }
 
 TEST(DecisionTable, SetRejectsIllFormedEntries) {
@@ -199,13 +196,13 @@ TEST(AutoTune, TinyGridProducesADecisionPerSegment) {
       EXPECT_LE(seg.timings[i - 1].median_ns, seg.timings[i].median_ns);
     }
     // The table holds exactly the winner the segment reports.
-    const Decision* d = report.table.find_class(
-        {Collective::kBroadcast, seg.P, seg.size_class});
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(*d, seg.winner);
-    EXPECT_EQ(d->problem, seg.timings.front().problem);
-    EXPECT_GT(d->win_ns, 0);
-    EXPECT_GE(d->runner_up_ns, d->win_ns);
+    const DecisionKey key{Collective::kBroadcast, seg.P, seg.size_class};
+    ASSERT_TRUE(report.table.entries().contains(key));
+    const Decision& d = report.table.entries().at(key);
+    EXPECT_EQ(d, seg.winner);
+    EXPECT_EQ(d.problem, seg.timings.front().problem);
+    EXPECT_GT(d.win_ns, 0);
+    EXPECT_GE(d.runner_up_ns, d.win_ns);
   }
 }
 
